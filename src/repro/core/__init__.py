@@ -15,12 +15,14 @@ from repro.core.advanced_sorting import (
     baseline_order_cnot_count,
     build_sorting_problem,
     greedy_sort,
+    greedy_tour,
     result_to_tour,
     routed_sequence_cost_estimate,
     term_block_tour,
 )
 from repro.core.config import CompilerConfig
 from repro.core.gamma_search import (
+    GammaMaskCost,
     GammaSearchResult,
     assemble_gamma,
     excitation_topology_blocks,
@@ -90,9 +92,11 @@ __all__ = [
     "SortingResult",
     "advanced_sort",
     "greedy_sort",
+    "greedy_tour",
     "baseline_order_cnot_count",
     "build_sorting_problem",
     "routed_sequence_cost_estimate",
+    "GammaMaskCost",
     "GammaSearchResult",
     "search_block_diagonal_gamma",
     "excitation_topology_blocks",

@@ -12,8 +12,9 @@ is cut at its weakest edge and the path cost is the compiled CNOT count.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +28,9 @@ from repro.hardware.topology import Topology
 from repro.operators import (
     PauliString,
     interface_reduction_matrix,
+    routed_target_cost_matrix,
     routed_vertex_cost_vector,
+    support_matrix,
 )
 from repro.optimizers import GtspProblem, solve_gtsp
 
@@ -294,6 +297,103 @@ def advanced_sort(
     return result
 
 
+def greedy_tour(
+    x_masks: Sequence[int],
+    z_masks: Sequence[int],
+    target_costs: Optional[Sequence[Sequence[int]]] = None,
+) -> Tuple[List[SortingVertex], int, int]:
+    """Nearest-neighbour walk over ``(rotation, target)`` vertices on bit masks.
+
+    ``x_masks[i]`` / ``z_masks[i]`` are the symplectic masks of rotation
+    ``i``'s Pauli string.  The walk starts at rotation 0 on its highest
+    support qubit; each step moves to the live vertex ``v`` maximizing
+    ``savings(current, v) - cost(v)``, where ``cost`` is
+    ``target_costs[rotation][target]`` (zero when ``None``).  Ties go to the
+    lowest rotation index, then the lowest target.
+
+    Savings are zero between vertices on different targets, so no pairwise
+    matrix is built: a step scores only the live vertices on the current
+    target and compares the best of them with the cheapest live vertex
+    anywhere.  Returns the tour, the all-to-all CNOT count of the path and
+    its ``Σ cost - Σ savings`` objective (equal to the CNOT count when
+    ``target_costs`` is ``None``).
+    """
+    m = len(x_masks)
+    if m == 0:
+        return [], 0, 0
+    supports = [x | z for x, z in zip(x_masks, z_masks)]
+    if not all(supports):
+        raise ValueError("identity rotations cannot be sorted into circuits")
+    on_target: Dict[int, List[int]] = {}
+    cheapest = []  # heap of (cost, rotation, target): the first such vertex per rotation
+    for index, support in enumerate(supports):
+        best = None
+        mask = support
+        while mask:
+            low = mask & -mask
+            target = low.bit_length() - 1
+            mask ^= low
+            on_target.setdefault(target, []).append(index)
+            cost = 0 if target_costs is None else target_costs[index][target]
+            if best is None or cost < best[0]:
+                best = (cost, index, target)
+        if index:
+            cheapest.append(best)
+    heapq.heapify(cheapest)
+
+    live = [True] * m
+    live[0] = False
+    current, target = 0, supports[0].bit_length() - 1
+    tour: List[SortingVertex] = [(0, target)]
+    total_cost = 0 if target_costs is None else target_costs[0][target]
+    total_savings = 0
+    for _ in range(m - 1):
+        # Best vertex on the current target: the Sec. III-B ω-rule inline.
+        # Both strings act on the target, so the target collision is "good"
+        # exactly when both carry an X component there or neither does, and
+        # the saving never exceeds the interface CNOTs (it is at most twice
+        # the shared non-target support).
+        bit = 1 << target
+        cur_x, cur_z = x_masks[current], z_masks[current]
+        cur_rest = supports[current] & ~bit
+        cur_x_at = cur_x & bit
+        candidates = [b for b in on_target[target] if live[b]]
+        on_target[target] = candidates
+        near, near_value, near_savings = -1, 0, 0
+        for b in candidates:
+            shared = cur_rest & supports[b]
+            savings = shared.bit_count()
+            if savings and (x_masks[b] & bit) == cur_x_at:
+                savings += (
+                    shared & ~((cur_x ^ x_masks[b]) | (cur_z ^ z_masks[b]))
+                ).bit_count()
+            value = savings if target_costs is None else savings - target_costs[b][target]
+            if near < 0 or value > near_value:
+                near, near_value, near_savings = b, value, savings
+        # Cheapest live vertex anywhere (savings zero off the current target).
+        while not live[cheapest[0][1]]:
+            heapq.heappop(cheapest)
+        far_cost, far, far_target = cheapest[0]
+        if near >= 0 and (
+            near_value > -far_cost
+            or (near_value == -far_cost and (near, target) < (far, far_target))
+        ):
+            current = near
+            total_savings += near_savings
+        else:
+            # Either the far vertex lies off the current target, or it ties
+            # at zero savings on it: no interface saving either way.
+            current, target = far, far_target
+        live[current] = False
+        tour.append((current, target))
+        if target_costs is not None:
+            total_cost += target_costs[current][target]
+    template = sum(2 * (support.bit_count() - 1) for support in supports)
+    if target_costs is None:
+        total_cost = template
+    return tour, template - total_savings, total_cost - total_savings
+
+
 def greedy_sort(
     rotations: Sequence[PauliRotation], topology: Optional[Topology] = None
 ) -> SortingResult:
@@ -302,46 +402,26 @@ def greedy_sort(
     Starting from the first rotation (with its default target), the next
     rotation/target pair is always the one with the largest interface
     cancellation — or, under a ``topology``, the smallest distance-weighted
-    cost.  Used as the fast inner cost function of the Γ simulated annealing
-    and as an ablation reference for the full GTSP solver.
+    cost (see :func:`greedy_tour`).  The sorting stage uses it as the greedy
+    reference and the Γ search scores every candidate with the same walk.
     """
     rotations = list(rotations)
-    if not rotations:
-        return SortingResult(
-            ordered_rotations=[],
-            cnot_count=0,
-            routed_cost_estimate=None if topology is None else 0,
-        )
-    vertices, savings = vertex_savings(rotations)
-    if topology is None:
-        preference = savings  # maximize the interface saving
-    else:
-        # minimize cost[v] - savings[u, v]; savings is reused, not recomputed
-        costs = routed_vertex_cost_vector(
-            [rotations[index].string for index, _ in vertices],
-            [target for _, target in vertices],
-            topology.distance_matrix,
-        )
-        preference = savings - costs[None, :]
-    vertex_rotation = np.array([index for index, _ in vertices], dtype=np.int64)
-    row_of = {vertex: row for row, vertex in enumerate(vertices)}
-
-    first = rotations[0]
-    first_target = first.string.support[-1]
-    ordered: List[Tuple[PauliRotation, int]] = [(first, first_target)]
-    current = row_of[(0, first_target)]
-    alive = vertex_rotation != 0
-    # Vertices are enumerated in (rotation index, target) order, and argmax
-    # returns the first maximum, so ties resolve exactly as the historical
-    # nested loop did: lowest rotation index first, then lowest target.
-    for _ in range(len(rotations) - 1):
-        candidates = np.nonzero(alive)[0]
-        best = candidates[int(np.argmax(preference[current, candidates]))]
-        index, target = vertices[best]
-        ordered.append((rotations[index], target))
-        alive &= vertex_rotation != index
-        current = best
-    return _finalize_sorting(ordered, topology)
+    strings = [rotation.string for rotation in rotations]
+    target_costs = None
+    if topology is not None and strings:
+        target_costs = routed_target_cost_matrix(
+            support_matrix(strings), topology.distance_matrix
+        ).tolist()
+    tour, cnot_count, routed_cost = greedy_tour(
+        [string.x_mask for string in strings],
+        [string.z_mask for string in strings],
+        target_costs,
+    )
+    return SortingResult(
+        ordered_rotations=[(rotations[index], target) for index, target in tour],
+        cnot_count=cnot_count,
+        routed_cost_estimate=None if topology is None else routed_cost,
+    )
 
 
 def baseline_order_cnot_count(rotations: Sequence[PauliRotation]) -> int:

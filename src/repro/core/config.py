@@ -32,7 +32,9 @@ class CompilerConfig:
         Feature switches used both by the headline pipeline (all True) and the
         ablation benchmarks.
     gamma_steps:
-        Simulated-annealing proposals for the Γ search (Sec. III-C).
+        Simulated-annealing proposals for the Γ search (Sec. III-C); ``0``
+        skips the search and keeps the identity Γ (plain Jordan–Wigner),
+        exactly like ``use_gamma_search=False``.
     sorting_population, sorting_generations:
         GTSP genetic-algorithm budget for the final sorting pass (Sec. III-B).
     coloring_orders:

@@ -8,9 +8,12 @@ Given a set of HMP2-selected excitation terms the pipeline:
    graph-coloring procedure and compiles the compressible ones at 7 CNOTs each
    (Fig. 3(a)), folding the rest into the fermionic class;
 3. **gamma_search** — searches a block-diagonal Γ for the advanced
-   fermion-to-qubit transformation by simulated annealing (Sec. III-C);
+   fermion-to-qubit transformation by simulated annealing (Sec. III-C),
+   scoring each candidate on GF(2) Pauli masks: the Jordan–Wigner-frame
+   masks are computed once and mapped by Γ (``x → Γx``, ``z → Γ⁻ᵀz``);
 4. **transform** — expands the fermionic class (plus folded hybrids and all
-   singles) into targeted Pauli rotations under the chosen Γ;
+   singles) into targeted Pauli rotations under the chosen Γ, running the
+   full fermion→qubit algebra once (it carries the rotation angles);
 5. **sort** — orders the rotations with the GTSP-based advanced sorting
    (Sec. III-B);
 6. **account** — totals the CNOT count and the per-segment breakdown.
@@ -35,7 +38,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +56,7 @@ from repro.core.advanced_sorting import (
     term_block_tour,
 )
 from repro.core.config import CompilerConfig
-from repro.core.gamma_search import search_block_diagonal_gamma
+from repro.core.gamma_search import GammaMaskCost, search_block_diagonal_gamma
 from repro.core.hybrid_encoding import (
     BOSONIC_TERM_CNOT_COST,
     HYBRID_TERM_CNOT_COST,
@@ -194,6 +197,8 @@ class StageContext:
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     # stages that hit their anytime budget (appended by the stage itself)
     degraded_stages: List[str] = field(default_factory=list)
+    # attributes the running stage puts on its span (reset before each stage)
+    span_attributes: Dict[str, Any] = field(default_factory=dict)
 
 
 Stage = Callable[[StageContext], None]
@@ -256,8 +261,17 @@ def _resolve_term_parameters(context: StageContext) -> Optional[List[float]]:
 def gamma_search_stage(context: StageContext) -> None:
     """Simulated-annealing search of the block-diagonal Γ (Sec. III-C).
 
+    Every candidate Γ is scored by :class:`~repro.core.gamma_search.GammaMaskCost`:
+    the Jordan–Wigner-frame Pauli masks are built once and mapped by Γ over
+    GF(2), then scored by :func:`~repro.core.advanced_sorting.greedy_tour`,
+    the walk behind the :func:`greedy_sort` the sort stage uses — no
+    per-candidate fermion→qubit algebra.  With a device topology the walk
+    optimizes the distance-weighted objective the sorting stage will use.
+
     Honors ``config.gamma_budget_steps``: a truncated walk records the stage
-    in ``context.degraded_stages`` and keeps the best Γ seen so far.
+    in ``context.degraded_stages`` and keeps the best Γ seen so far.  The
+    walk's summary (steps, acceptance rate, cost evaluations versus
+    cost-cache hits) goes on the stage's span.
     """
     context.gamma = identity_matrix(context.n_qubits)
     if not context.fermionic_terms or not context.config.use_gamma_search:
@@ -265,26 +279,27 @@ def gamma_search_stage(context: StageContext) -> None:
     faults.fire("stage.gamma", n_terms=len(context.fermionic_terms))
 
     fermionic = context.fermionic_terms
-    term_parameters = _resolve_term_parameters(context)
-
-    topology = context.config.topology
-
-    def sorting_cost(candidate_gamma: np.ndarray) -> float:
-        transform = LinearEncodingTransform(candidate_gamma)
-        rotations = terms_to_rotations(fermionic, transform, term_parameters)
-        # With a device topology the Γ search optimizes the same
-        # distance-weighted objective the sorting stage will use.
-        return float(greedy_sort(rotations, topology=topology).objective())
-
+    cost = GammaMaskCost(
+        fermionic,
+        context.n_qubits,
+        _resolve_term_parameters(context),
+        topology=context.config.topology,
+    )
     search = search_block_diagonal_gamma(
         fermionic,
         context.n_qubits,
-        cost_function=sorting_cost,
+        cost_function=cost,
         n_steps=context.config.gamma_steps,
         rng=context.rng,
         max_steps=context.config.gamma_budget_steps,
     )
     context.gamma = search.gamma
+    context.span_attributes.update(
+        sa_steps=search.n_steps,
+        sa_acceptance_rate=search.acceptance_rate,
+        sa_cost_evaluations=search.n_evaluations,
+        sa_cache_hits=search.n_cache_hits,
+    )
     if search.degraded:
         context.degraded_stages.append("gamma_search")
 
@@ -481,6 +496,7 @@ class AdvancedPipeline:
             for name, stage in self.stages:
                 stage_start = time.perf_counter()
                 already_degraded = set(context.degraded_stages)
+                context.span_attributes = {}
                 with tracer.span(f"pipeline.{name}") as stage_span:
                     try:
                         stage(context)
@@ -488,6 +504,8 @@ class AdvancedPipeline:
                         raise
                     except Exception as exc:
                         raise StageFailure(name, exc) from exc
+                    for key, value in context.span_attributes.items():
+                        stage_span.set_attribute(key, value)
                     for degraded_name in context.degraded_stages:
                         if degraded_name not in already_degraded:
                             stage_span.set_attribute("degraded", True)

@@ -24,6 +24,7 @@ from repro.operators.symplectic import (
     distance_weighted_cost_matrix,
     interface_reduction_matrix,
     overlap_matrix,
+    routed_target_cost_matrix,
     routed_vertex_cost_vector,
     support_matrix,
     weight_vector,
@@ -39,6 +40,7 @@ __all__ = [
     "distance_weighted_cost_matrix",
     "interface_reduction_matrix",
     "overlap_matrix",
+    "routed_target_cost_matrix",
     "routed_vertex_cost_vector",
     "support_matrix",
     "weight_vector",

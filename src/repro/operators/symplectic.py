@@ -156,6 +156,34 @@ def support_matrix(strings: Packable) -> np.ndarray:
     return flat[:, : packed.n_qubits].astype(bool)
 
 
+def routed_target_cost_matrix(
+    support: np.ndarray, distance_matrix: np.ndarray
+) -> np.ndarray:
+    """Connectivity-aware CNOT cost of every string against every target.
+
+    ``support`` is the boolean ``(m, n)`` support matrix
+    (:func:`support_matrix`).  Entry ``[i, t]`` is the cost of vertex
+    ``(strings[i], t)`` as defined in :func:`routed_vertex_cost_vector`; it
+    is meaningful only where ``support[i, t]`` holds.  One integer matrix
+    product covers all targets, so callers that need every vertex of a
+    string collection pay no per-vertex gather.
+    """
+    distance = np.asarray(distance_matrix, dtype=np.int64)
+    n = support.shape[1]
+    if distance.shape[0] < n or distance.shape[1] < n:
+        raise ValueError(
+            f"distance matrix of shape {distance.shape} cannot cover "
+            f"{n}-qubit strings"
+        )
+    if np.any(distance[:n, :n] < 0):
+        raise ValueError("distance matrix has unreachable pairs (-1 entries)")
+    ladder = 2 * distance[:n, :n] - 1  # [q, t]: CNOTs charged to q toward t
+    per_target = support.astype(np.int64) @ ladder
+    # The target itself carries the Rz and is charged nothing.
+    per_target -= support * np.diagonal(ladder)[None, :]
+    return 2 * per_target
+
+
 def routed_vertex_cost_vector(
     strings: Sequence[PauliString],
     targets: Sequence[int],
@@ -176,21 +204,8 @@ def routed_vertex_cost_vector(
         raise ValueError("one target per string is required")
     if not strings:
         return np.zeros(0, dtype=np.int64)
-    distance = np.asarray(distance_matrix, dtype=np.int64)
-    support = support_matrix(strings)
-    n = support.shape[1]
-    if distance.shape[0] < n or distance.shape[1] < n:
-        raise ValueError(
-            f"distance matrix of shape {distance.shape} cannot cover "
-            f"{n}-qubit strings"
-        )
-    if np.any(distance[:n, :n] < 0):
-        raise ValueError("distance matrix has unreachable pairs (-1 entries)")
-    d_to_target = distance[:n, targets_arr].T  # (m, n): d(q, t_i)
-    per_qubit = np.where(support, 2 * d_to_target - 1, 0)
-    rows = np.arange(len(strings))
-    per_qubit[rows, targets_arr] = 0  # the target itself carries the Rz
-    return 2 * per_qubit.sum(axis=1)
+    costs = routed_target_cost_matrix(support_matrix(strings), distance_matrix)
+    return costs[np.arange(len(strings)), targets_arr]
 
 
 def distance_weighted_cost_matrix(
