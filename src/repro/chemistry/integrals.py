@@ -508,6 +508,54 @@ def _integer_power(base: np.ndarray, exponent: int) -> np.ndarray:
     ).reshape(base.shape)
 
 
+class _CoulombGrid:
+    """Quartet-grid inputs and memo of :func:`_grid_coulomb` for one ERI."""
+
+    __slots__ = ("reduced", "boys_argument", "x", "y", "z", "cache")
+
+    def __init__(self, reduced, boys_argument, x, y, z):
+        self.reduced = reduced
+        self.boys_argument = boys_argument
+        self.x, self.y, self.z = x, y, z
+        self.cache: Dict[Tuple[int, int, int, int], np.ndarray] = {}
+
+
+def _grid_coulomb(grid: _CoulombGrid, t: int, u: int, v: int, n: int):
+    """Grid-valued ``R^n_{tuv}``; mirrors the scalar recursion term order.
+
+    A module-level function rather than a closure: a recursive local
+    function references itself through its cell, so every ERI would leave
+    a reference cycle behind that only a full garbage collection frees.
+    """
+    if t < 0 or u < 0 or v < 0:
+        return 0.0
+    key = (t, u, v, n)
+    cached = grid.cache.get(key)
+    if cached is not None:
+        return cached
+    if t == u == v == 0:
+        value = _integer_power(-2.0 * grid.reduced, n) * (
+            hyp1f1(n + 0.5, n + 1.5, -grid.boys_argument) / (2.0 * n + 1.0)
+        )
+    elif t > 0:
+        value = 0.0
+        if t > 1:
+            value += (t - 1) * _grid_coulomb(grid, t - 2, u, v, n + 1)
+        value += grid.x * _grid_coulomb(grid, t - 1, u, v, n + 1)
+    elif u > 0:
+        value = 0.0
+        if u > 1:
+            value += (u - 1) * _grid_coulomb(grid, t, u - 2, v, n + 1)
+        value += grid.y * _grid_coulomb(grid, t, u - 1, v, n + 1)
+    else:
+        value = 0.0
+        if v > 1:
+            value += (v - 1) * _grid_coulomb(grid, t, u, v - 2, n + 1)
+        value += grid.z * _grid_coulomb(grid, t, u, v - 1, n + 1)
+    grid.cache[key] = value
+    return value
+
+
 def _electron_repulsion_vectorized(
     function_a: BasisFunction,
     function_b: BasisFunction,
@@ -537,37 +585,7 @@ def _electron_repulsion_vectorized(
     distance_sq = x * x + y * y + z * z
     boys_argument = reduced * distance_sq
 
-    coulomb_cache: Dict[Tuple[int, int, int, int], np.ndarray] = {}
-
-    def coulomb(t: int, u: int, v: int, n: int):
-        """Grid-valued ``R^n_{tuv}``; mirrors the scalar recursion term order."""
-        if t < 0 or u < 0 or v < 0:
-            return 0.0
-        key = (t, u, v, n)
-        cached = coulomb_cache.get(key)
-        if cached is not None:
-            return cached
-        if t == u == v == 0:
-            value = _integer_power(-2.0 * reduced, n) * (
-                hyp1f1(n + 0.5, n + 1.5, -boys_argument) / (2.0 * n + 1.0)
-            )
-        elif t > 0:
-            value = 0.0
-            if t > 1:
-                value += (t - 1) * coulomb(t - 2, u, v, n + 1)
-            value += x * coulomb(t - 1, u, v, n + 1)
-        elif u > 0:
-            value = 0.0
-            if u > 1:
-                value += (u - 1) * coulomb(t, u - 2, v, n + 1)
-            value += y * coulomb(t, u - 1, v, n + 1)
-        else:
-            value = 0.0
-            if v > 1:
-                value += (v - 1) * coulomb(t, u, v - 2, n + 1)
-            value += z * coulomb(t, u, v - 1, n + 1)
-        coulomb_cache[key] = value
-        return value
+    grid = _CoulombGrid(reduced, boys_argument, x, y, z)
 
     value = np.zeros_like(reduced)
     for t, ex1_t in enumerate(bra.expansion[0]):
@@ -595,7 +613,7 @@ def _electron_repulsion_vectorized(
                             sign = (-1.0) ** (tau + nu + phi)
                             value += (
                                 e5 * ez2_v[None, None, :, :] * sign
-                                * coulomb(t + tau, u + nu, v + phi, 0)
+                                * _grid_coulomb(grid, t + tau, u + nu, v + phi, 0)
                             )
     value = value * (2.0 * math.pi ** 2.5 / (p * q * np.sqrt(p + q)))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -214,6 +214,7 @@ def advanced_sort(
     seed_tours: Optional[Sequence[Sequence[SortingVertex]]] = None,
     topology: Optional[Topology] = None,
     max_generations: Optional[int] = None,
+    search_stats: Optional[Dict[str, Any]] = None,
 ) -> SortingResult:
     """Order rotations and pick per-rotation targets to minimize the CNOT count.
 
@@ -224,7 +225,9 @@ def advanced_sort(
     weights and the seed comparison both use the distance-weighted routed
     cost instead of the all-to-all CNOT count.  ``max_generations`` is the
     anytime GA budget (see :func:`repro.optimizers.solve_gtsp`); a truncated
-    search marks the result ``degraded=True``.
+    search marks the result ``degraded=True``.  A ``search_stats`` dict, when
+    given and the GA runs, receives ``gtsp_generations``,
+    ``gtsp_last_improvement`` and ``gtsp_dp_batches`` from its result.
     """
     rotations = list(rotations)
     if not rotations:
@@ -254,29 +257,21 @@ def advanced_sort(
         initial_tours=initial_tours,
         max_generations=max_generations,
     )
+    if search_stats is not None:
+        search_stats.update(
+            gtsp_generations=solution.generations,
+            gtsp_last_improvement=solution.last_improvement,
+            gtsp_dp_batches=solution.dp_batches,
+        )
     # Determine the weakest edge of the cycle and cut there (path compilation):
-    # the edge with the least interface saving, or — under a topology — the
-    # largest distance-weighted edge weight.
+    # the largest edge weight, read from the problem's matrix.  Without a
+    # topology the weight is minus the interface saving, so this is the edge
+    # with the least saving.
     n = len(solution.tour)
-    cut_scores = []
-    for position in range(n):
-        _, u = solution.tour[position]
-        _, v = solution.tour[(position + 1) % n]
-        if topology is None:
-            index_a, target_a = u
-            index_b, target_b = v
-            cut_scores.append(
-                interface_cnot_reduction(
-                    rotations[index_a].string,
-                    target_a,
-                    rotations[index_b].string,
-                    target_b,
-                )
-            )
-        else:
-            cut_scores.append(-problem.weight(u, v))
-    # Builtin min on the small Python list (np.argmin would pay an array
-    # conversion); ties resolve to the first minimum exactly as argmin did.
+    rows = problem._tour_rows(solution.tour)
+    cut_scores = (-problem.matrix[rows, rows[1:] + rows[:1]]).tolist()
+    # Builtin min on the small Python list; ties resolve to the first minimum
+    # exactly as argmin did.
     cut = min(range(n), key=cut_scores.__getitem__)
     ordered: List[Tuple[PauliRotation, int]] = []
     for step in range(n):

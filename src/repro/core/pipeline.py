@@ -347,6 +347,7 @@ def sort_stage(context: StageContext) -> None:
         seed_tours=seed_tours,
         topology=config.topology,
         max_generations=config.sorting_budget_generations,
+        search_stats=context.span_attributes,
     )
     if sorting.degraded:
         # The budget was hit regardless of whether the greedy construction

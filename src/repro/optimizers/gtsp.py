@@ -19,6 +19,32 @@ densified lazily on first use.  Every matrix kernel reproduces the scalar
 implementation bit-for-bit: candidate costs are single additions of the same
 float64 pairs, reductions take the first minimum exactly like ``np.argmin``
 on a list did, and tour costs accumulate left-to-right in tour order.
+
+The sorting GTSP has more structure than that, and when a problem's matrix
+shows it the cluster optimisation uses a faster exact kernel.  Every weight
+is an integer, and in each column ``l`` the entries from any one other
+cluster all equal ``base(l)``, the column's largest entry off ``l``'s own
+cluster, except at most one row ``k*(c, l)`` per cluster ``c``.  (The
+advanced sorting qualifies: a cluster holds at most one vertex per target,
+savings are non-negative and zero between different targets, and
+``base(l)`` is 0 or ``l``'s routed ladder cost, so ``k*`` is the
+same-target vertex.)  The problem checks this once, vectorised, on first
+use.  A DP layer from cluster ``c`` is then O(S·K) instead of O(S·K²)::
+
+    new[s, l] = min(rowmin[s] + base(l), costs[s, k*(c, l)] + W[k*(c, l), l])
+
+Costs are packed as ``value << b | index`` in int64, with a large finite
+sentinel for padding, so one row ``min`` and one ``np.minimum`` reproduce
+the dense DP's first-argmin tie-break exactly.  All chromosomes that need
+the DP in one generation run as one batch of B chromosomes × S start
+vertices × K layer vertices, with every per-layer gather hoisted out of the
+layer loop.  The DP draws nothing from
+the rng and selection reads the previous generation's costs, so running a
+generation's DPs together at its end leaves every tour and the rng stream
+unchanged.  The generation's tour costs are then summed the same way, in one
+int64 gather; integer sums give exactly the floats the left-to-right
+accumulation gives.  Problems whose weights fail the check keep the dense
+float DP and the per-chromosome float costs.
 """
 
 from __future__ import annotations
@@ -67,6 +93,8 @@ class GtspProblem:
     _blocks: Dict[Tuple[int, int], np.ndarray] = field(
         default_factory=dict, init=False, repr=False
     )
+    _structure: Optional["_TargetStructure"] = field(default=None, init=False, repr=False)
+    _structure_checked: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         if not self.clusters:
@@ -100,26 +128,30 @@ class GtspProblem:
                 )
             self._matrix = matrix
             if self.weight is None:
-                self.weight = self._matrix_weight
+                self.weight = _matrix_weight(matrix, self._row_in_cluster)
 
     @property
     def n_clusters(self) -> int:
         return len(self.clusters)
 
     @property
+    def target_structured(self) -> bool:
+        """True when cluster optimisation runs the structured same-target kernel."""
+        return self._target_structure() is not None
+
+    def _target_structure(self) -> Optional["_TargetStructure"]:
+        """The structured kernel's tables, detected once on first use."""
+        if not self._structure_checked:
+            self._structure = _TargetStructure.detect(self)
+            self._structure_checked = True
+        return self._structure
+
+    @property
     def n_vertices(self) -> int:
         return len(self._vertices)
 
-    def _matrix_weight(self, u: Vertex, v: Vertex) -> float:
-        """Scalar compatibility shim over the dense matrix."""
-        return float(self.matrix[self._row_of(u), self._row_of(v)])
-
     def _row_of(self, vertex: Vertex) -> int:
-        for mapping in self._row_in_cluster:
-            row = mapping.get(vertex)
-            if row is not None:
-                return row
-        raise KeyError(f"vertex {vertex!r} is not part of this problem")
+        return _find_row(self._row_in_cluster, vertex)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -205,6 +237,96 @@ class GtspProblem:
         return cost
 
 
+def _find_row(row_in_cluster: List[Dict[Vertex, int]], vertex: Vertex) -> int:
+    for mapping in row_in_cluster:
+        row = mapping.get(vertex)
+        if row is not None:
+            return row
+    raise KeyError(f"vertex {vertex!r} is not part of this problem")
+
+
+def _matrix_weight(
+    matrix: np.ndarray, row_in_cluster: List[Dict[Vertex, int]]
+) -> Callable[[Vertex, Vertex], float]:
+    """Scalar ``weight(u, v)`` compatibility shim over a dense matrix.
+
+    It closes over the matrix and the row maps, not over the problem: a
+    bound method stored on the problem would make a reference cycle, and the
+    problem with its matrices would then wait for a full garbage collection.
+    """
+
+    def weight(u: Vertex, v: Vertex) -> float:
+        return float(matrix[_find_row(row_in_cluster, u), _find_row(row_in_cluster, v)])
+
+    return weight
+
+
+#: Packed cost of padding and of absent same-target vertices: far above any
+#: real path cost, and small enough that sums of three stay below 2**63.
+_SENTINEL = 1 << 60
+#: Bound on the magnitude of real packed path costs.
+_PACKED_LIMIT = 1 << 56
+
+
+class _TargetStructure:
+    """Int64 tables for the structured cluster-optimisation kernel.
+
+    Vertex rows are padded with one extra row ``n`` (``n`` = vertex count)
+    that stands for "no vertex"; its weights and base are the sentinel.
+
+    * ``weights[k, l]`` / ``base[l]``: ``W`` and ``base`` shifted left by
+      ``shift`` bits, so the low bits stay free for a vertex index.
+    * ``cluster_rows[c, i]``: global row of vertex ``i`` of cluster ``c``.
+    * ``near_row`` / ``near_index`` ``[c, l]``: row ``k*(c, l)`` and its
+      position inside cluster ``c`` (``n`` and 0 when every row is ``base``).
+    """
+
+    __slots__ = (
+        "shift", "mask", "width", "weights", "base", "cluster_rows", "near_row", "near_index",
+    )
+
+    @classmethod
+    def detect(cls, problem: GtspProblem) -> Optional["_TargetStructure"]:
+        """The tables, or None when the weights lack the structure."""
+        n_clusters = problem.n_clusters
+        if n_clusters < 2:
+            return None
+        matrix = problem.matrix
+        if not np.all(np.isfinite(matrix)) or not np.array_equal(matrix, np.rint(matrix)):
+            return None
+        n = problem.n_vertices
+        width = max(len(cluster) for cluster in problem.clusters)
+        shift = max(1, (width - 1).bit_length())
+        if float(np.abs(matrix).max()) * (n_clusters + 1) >= _PACKED_LIMIT >> shift:
+            return None
+
+        sizes = [len(cluster) for cluster in problem.clusters]
+        firsts = np.cumsum(sizes) - sizes
+        cluster_of = np.repeat(np.arange(n_clusters), sizes)
+        other = cluster_of[:, None] != cluster_of[None, :]
+        base = np.where(other, matrix, -np.inf).max(axis=0)
+        near = other & (matrix != base[None, :])
+        if np.add.reduceat(near, firsts, axis=0, dtype=np.intp).max() > 1:
+            return None  # two rows of one cluster leave base(l) in column l
+        near_rows, near_columns = np.nonzero(near)
+        near_clusters = cluster_of[near_rows]
+
+        self = cls()
+        self.shift, self.mask, self.width = shift, (1 << shift) - 1, width
+        self.weights = np.full((n + 1, n + 1), _SENTINEL, dtype=np.int64)
+        self.weights[:n, :n] = matrix.astype(np.int64) << shift
+        self.base = np.full(n + 1, _SENTINEL, dtype=np.int64)
+        self.base[:n] = base.astype(np.int64) << shift
+        self.cluster_rows = np.full((n_clusters, width), n, dtype=np.intp)
+        for cluster, rows in enumerate(problem._cluster_rows):
+            self.cluster_rows[cluster, : len(rows)] = rows
+        self.near_row = np.full((n_clusters, n + 1), n, dtype=np.intp)
+        self.near_index = np.zeros((n_clusters, n + 1), dtype=np.intp)
+        self.near_row[near_clusters, near_columns] = near_rows
+        self.near_index[near_clusters, near_columns] = near_rows - firsts[near_clusters]
+        return self
+
+
 @dataclass
 class GtspResult:
     """Best tour found by the solver.
@@ -212,12 +334,17 @@ class GtspResult:
     ``generations`` is the number of generations actually evolved; when a
     ``max_generations`` budget stopped the search early, ``degraded`` is True
     and the tour is the best individual seen so far (anytime semantics).
+    ``last_improvement`` is the generation (1-based) that produced the last
+    new best, 0 when the initial population's best was never beaten;
+    ``dp_batches`` counts the batched cluster-optimisation calls.
     """
 
     tour: Tour
     cost: float
     generations: int
     degraded: bool = False
+    last_improvement: int = 0
+    dp_batches: int = 0
 
 
 class _Chromosome:
@@ -261,11 +388,14 @@ def _ordered_crossover(
         return _Chromosome(list(parent_a.order), list(parent_a.choices))
     cut_a, cut_b = sorted(rng.choice(n, size=2, replace=False))
     segment = parent_a.order[cut_a:cut_b + 1]
-    remainder = [c for c in parent_b.order if c not in segment]
+    in_segment = set(segment)
+    remainder = [c for c in parent_b.order if c not in in_segment]
     order = remainder[:cut_a] + segment + remainder[cut_a:]
+    # One draw of n doubles: the same values, in the same order, as n
+    # scalar ``rng.random()`` calls.
     choices = [
-        parent_a.choices[c] if rng.random() < 0.5 else parent_b.choices[c]
-        for c in range(len(parent_a.choices))
+        a if draw < 0.5 else b
+        for a, b, draw in zip(parent_a.choices, parent_b.choices, rng.random(n).tolist())
     ]
     return _Chromosome(order, choices)
 
@@ -336,6 +466,99 @@ def _cluster_optimization(
         chromosome.choices[cluster] = assignment[layer]
 
 
+def _structured_cluster_optimization(
+    problem: GtspProblem, chromosomes: Sequence[_Chromosome]
+) -> None:
+    """The exact DP of :func:`_cluster_optimization` for a batch, on the
+    same-target structure (see the module docstring).
+
+    ``packed[k, n]`` holds the best cost from start ``s`` of chromosome ``b``
+    (column ``n = b * S + s``) to vertex ``k`` of the current layer, packed
+    as ``value << shift | k``, so a column ``min`` yields the first argmin
+    over ``k``.  A layer's result packs the parent instead of ``k``; it is
+    kept for the backtrack and relabelled into the next ``packed``.  The
+    vertex axis comes first because numpy reduces a leading axis fastest.
+    """
+    m = problem.n_clusters
+    structure = problem._target_structure()
+    weights, shift, mask = structure.weights, structure.shift, structure.mask
+    width = structure.width
+    batch = len(chromosomes)
+    columns = batch * width
+
+    def per_column(table: np.ndarray) -> np.ndarray:
+        """``(..., B, K)`` per-chromosome rows -> ``(..., K, B * S)``."""
+        table = np.swapaxes(table, -1, -2)[..., None]
+        return np.broadcast_to(table, table.shape[:-1] + (width,)).reshape(
+            table.shape[:-2] + (columns,)
+        )
+
+    orders = np.array([c.order for c in chromosomes], dtype=np.intp).T    # (m, B)
+    rows = structure.cluster_rows[orders]                                  # (m, B, K)
+    starts = rows[0].reshape(columns)
+    # Per-layer tables for layers 2..m-1, hoisted out of the loop.
+    layer_rows = rows[2:]
+    previous = orders[1:-1, :, None]
+    far_shift = per_column(structure.base[layer_rows])
+    near_shift = per_column(weights[structure.near_row[previous, layer_rows], layer_rows])
+    near_index = per_column(structure.near_index[previous, layer_rows])
+    near_index = near_index * columns + np.arange(columns)
+    vertex = np.arange(width, dtype=np.int64)[:, None]
+    relabel = np.broadcast_to(vertex - mask, (width, columns)).copy()
+
+    packed = weights[starts, per_column(rows[1])] + vertex
+    history = np.empty((m - 2, width, columns), dtype=np.int64)
+    for layer in range(m - 2):
+        np.add(packed.min(axis=0), far_shift[layer], out=history[layer])
+        near = packed.take(near_index[layer])
+        near += near_shift[layer]
+        np.minimum(history[layer], near, out=history[layer])
+        np.bitwise_or(history[layer], mask, out=packed)
+        packed += relabel
+
+    packed += weights[per_column(rows[-1]), starts]
+    totals = packed.min(axis=0)
+    best_starts = (totals >> shift).reshape(batch, width).argmin(axis=1)
+    picked = np.arange(batch) * width + best_starts
+    lasts = (totals[picked] & mask).tolist()
+    parents = (history[:, :, picked] & mask).tolist()
+
+    for b, chromosome in enumerate(chromosomes):
+        assignment = [0] * m
+        k = assignment[m - 1] = lasts[b]
+        for layer in range(m - 3, -1, -1):
+            k = assignment[layer + 1] = parents[layer][k][b]
+        assignment[0] = int(best_starts[b])
+        for position, cluster in enumerate(chromosome.order):
+            chromosome.choices[cluster] = assignment[position]
+
+
+def _tour_costs(problem: GtspProblem, chromosomes: Sequence[_Chromosome]) -> List[float]:
+    """Closed-tour costs of chromosomes, as :meth:`_Chromosome.cost` returns them.
+
+    On a structured problem every weight is a small integer, so one int64
+    gather and row sum give exactly the float that left-to-right float
+    accumulation gives, and the problem's row lists are never built.
+    """
+    structure = problem._target_structure()
+    if structure is None or not chromosomes:
+        return [chromosome.cost(problem) for chromosome in chromosomes]
+    orders = np.array([c.order for c in chromosomes], dtype=np.intp)
+    choices = np.array([c.choices for c in chromosomes], dtype=np.intp)
+    rows = structure.cluster_rows[orders, np.take_along_axis(choices, orders, axis=1)]
+    edges = structure.weights[rows, np.roll(rows, -1, axis=1)]
+    return (edges.sum(axis=1) >> structure.shift).astype(np.float64).tolist()
+
+
+def _optimize_clusters(problem: GtspProblem, chromosomes: Sequence[_Chromosome]) -> None:
+    """Run the cluster-optimisation DP on every chromosome, batched when possible."""
+    if problem._target_structure() is not None:
+        _structured_cluster_optimization(problem, chromosomes)
+    else:
+        for chromosome in chromosomes:
+            _cluster_optimization(chromosome, problem)
+
+
 def _chromosome_from_tour(
     problem: GtspProblem, tour: Sequence[Tuple[int, Vertex]]
 ) -> _Chromosome:
@@ -382,7 +605,8 @@ def solve_gtsp(
     instead of re-deriving the whole population's costs each generation.  The
     carried values equal a full re-evaluation bit-for-bit (the cost function
     is deterministic), so selection — and hence the returned tour — is
-    unchanged for any seed.
+    unchanged for any seed.  The children picked for cluster optimisation
+    are optimised together once a generation is bred, in one batch.
     """
     rng = rng or np.random.default_rng()
     if population_size < 2:
@@ -396,22 +620,22 @@ def solve_gtsp(
     if initial_tours:
         seeds = [_chromosome_from_tour(problem, tour) for tour in initial_tours]
         population[: len(seeds)] = seeds[:population_size]
-    for chromosome in population:
-        _cluster_optimization(chromosome, problem)
-    costs = [chromosome.cost(problem) for chromosome in population]
+    _optimize_clusters(problem, population)
+    dp_batches = 1
+    costs = _tour_costs(problem, population)
 
     n_elite = max(1, int(elite_fraction * population_size))
     best_index = min(range(population_size), key=costs.__getitem__)
     best_chromosome, best_cost = population[best_index], costs[best_index]
+    last_improvement = 0
 
     for generation in range(n_generations):
         ranked = sorted(range(population_size), key=costs.__getitem__)
         elites = [population[i] for i in ranked[:n_elite]]
-        elite_costs = [costs[i] for i in ranked[:n_elite]]
         next_population: List[_Chromosome] = [
             _Chromosome(list(c.order), list(c.choices)) for c in elites
         ]
-        next_costs: List[float] = list(elite_costs)
+        pending: List[_Chromosome] = []
         while len(next_population) < population_size:
             # Tournament selection of two parents.
             contenders = rng.choice(population_size, size=min(4, population_size), replace=False)
@@ -419,20 +643,26 @@ def solve_gtsp(
             child = _ordered_crossover(population[parents[0]], population[parents[1]], rng)
             _mutate(child, problem, rng, mutation_rate)
             if rng.random() < cluster_optimization_rate:
-                _cluster_optimization(child, problem)
+                pending.append(child)
             next_population.append(child)
-            next_costs.append(child.cost(problem))
+        if pending:
+            _optimize_clusters(problem, pending)
+            dp_batches += 1
+        costs = [costs[i] for i in ranked[:n_elite]] + _tour_costs(
+            problem, next_population[n_elite:]
+        )
         population = next_population
-        costs = next_costs
         generation_best = min(range(population_size), key=costs.__getitem__)
         if costs[generation_best] < best_cost:
             best_chromosome = population[generation_best]
             best_cost = costs[generation_best]
+            last_improvement = generation + 1
 
     # Final polish on the best individual.
     best_chromosome = _Chromosome(list(best_chromosome.order), list(best_chromosome.choices))
-    _cluster_optimization(best_chromosome, problem)
-    final_cost = best_chromosome.cost(problem)
+    _optimize_clusters(problem, [best_chromosome])
+    dp_batches += 1
+    (final_cost,) = _tour_costs(problem, [best_chromosome])
     if final_cost < best_cost:
         best_cost = final_cost
     return GtspResult(
@@ -440,6 +670,8 @@ def solve_gtsp(
         cost=best_cost,
         generations=n_generations,
         degraded=degraded,
+        last_improvement=last_improvement,
+        dp_batches=dp_batches,
     )
 
 

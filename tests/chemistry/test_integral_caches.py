@@ -205,3 +205,36 @@ class TestHamiltonianMemoization:
         assert fresh is not first
         assert np.array_equal(fresh.one_body, first.one_body)
         assert np.array_equal(fresh.two_body, first.two_body)
+
+
+class TestNoCyclicGarbage:
+    def test_eri_build_leaves_no_reference_cycles(self):
+        """The Hermite Coulomb recursion must not leave cycles per ERI.
+
+        A recursive local closure references itself through its cell, so
+        each vectorized ERI used to leave a function/cell cycle that only a
+        full collection freed.  Collecting right after a cold ERI build must
+        find nothing, and the tensor must stay bit-identical to the scalar
+        reference.
+        """
+        import gc
+
+        basis = lih_basis()
+        clear_integral_caches()
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            tensor = build_electron_repulsion_tensor(basis)
+            gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert garbage == []
+
+        previous = set_integral_caching(False)
+        try:
+            reference = build_electron_repulsion_tensor(basis)
+        finally:
+            set_integral_caching(previous)
+        assert np.array_equal(tensor, reference)
