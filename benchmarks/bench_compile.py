@@ -263,8 +263,15 @@ def legacy_problem_from(problem) -> LegacyGtspProblem:
     return LegacyGtspProblem(list(problem.clusters), weight)
 
 
-def legacy_solve_adapter(problem, **kwargs) -> GtspResult:
-    """Drop-in ``solve_gtsp`` replacement running the seed implementation."""
+def legacy_solve_adapter(problem, max_generations=None, **kwargs) -> GtspResult:
+    """Drop-in ``solve_gtsp`` replacement running the seed implementation.
+
+    The seed solver has no anytime budget: it accepts the unbudgeted
+    ``max_generations=None`` that ``advanced_sort`` always forwards, and
+    refuses a real budget rather than silently ignoring it.
+    """
+    if max_generations is not None:
+        raise ValueError("the seed solve_gtsp has no generation budget")
     return legacy_solve_gtsp(legacy_problem_from(problem), **kwargs)
 
 

@@ -20,8 +20,9 @@ stay fast; ``python benchmarks/run_fig5.py`` runs the larger progression.
 import numpy as np
 import pytest
 
+from repro.api import CompilerConfig
 from repro.baselines import BaselineCompiler
-from repro.core import AdvancedCompiler
+from repro.core import AdvancedPipeline
 from repro.simulator import CHEMICAL_ACCURACY, fci_ground_state_energy
 from repro.vqe import adaptive_vqe
 
@@ -75,9 +76,9 @@ def test_fig5_energies_unaffected_by_compilation(water_series):
     n_qubits = hamiltonian.n_spin_orbitals
 
     baseline = BaselineCompiler().compile(terms, n_qubits=n_qubits)
-    advanced = AdvancedCompiler(
+    advanced = AdvancedPipeline(CompilerConfig(
         gamma_steps=10, sorting_population=12, sorting_generations=10, seed=0
-    ).compile(terms, n_qubits=n_qubits)
+    )).run(terms, n_qubits=n_qubits)
 
     print(f"\n[Fig. 5 companion] same ansatz, M={len(terms)}: "
           f"baseline={baseline.cnot_count} CNOTs, advanced={advanced.cnot_count} CNOTs, "

@@ -10,11 +10,9 @@ Runs the full stack end to end for LiH:
 4. a printout in the spirit of one row of Table I, plus a warm-cache rerun
    showing the batch service memoizes identical requests.
 
-Migration note: this example used to call ``compile_molecule_ansatz`` with
-loose keyword options.  Those knobs now live in the frozen
-:class:`repro.api.CompilerConfig`, and each flow is a named backend —
-``get_backend("advanced").compile(request)`` replaces
-``AdvancedCompiler(**kwargs).compile(terms)``.
+Every compilation knob lives in the frozen :class:`repro.api.CompilerConfig`,
+and each flow is a named backend: ``get_backend("advanced").compile(request)``
+compiles one request with the paper's pipeline.
 
 Run with:  python examples/quickstart.py
 """

@@ -7,8 +7,8 @@ arXiv:2303.03460).
 The package is organised bottom-up:
 
 * :mod:`repro.operators` — fermionic and Pauli/qubit operator algebra;
-* :mod:`repro.transforms` — Jordan-Wigner, Bravyi-Kitaev, parity, ternary-tree
-  and generalized GL(N,2) fermion-to-qubit transformations;
+* :mod:`repro.transforms` — Jordan-Wigner, Bravyi-Kitaev, parity and
+  generalized GL(N,2) fermion-to-qubit transformations;
 * :mod:`repro.circuits` — circuit IR, Pauli-exponential synthesis, CNOT
   cancellation accounting and peephole optimization;
 * :mod:`repro.optimizers` — simulated annealing, graph coloring, GTSP genetic
@@ -23,8 +23,9 @@ The package is organised bottom-up:
   (the Fig. 2 flow);
 * :mod:`repro.api` — the unified compilation API: the
   :class:`~repro.api.CompilerBackend` protocol, the string-keyed backend
-  registry, the frozen :class:`~repro.api.CompilerConfig`, and the memoized
-  :func:`~repro.api.compile_batch` service;
+  registry, the frozen :class:`~repro.api.CompilerConfig`, the memoized
+  :func:`~repro.api.compile_batch` service and the job-execution core
+  (:mod:`repro.api.execute`) it shares with the compile service;
 * :mod:`repro.hardware` — device coupling-graph topologies (line, ring,
   grid, heavy-hex, custom), SABRE-style SWAP routing, and topology-steered
   Pauli-exponential synthesis; set ``CompilerConfig(topology=...)`` and every
@@ -57,11 +58,15 @@ True
 
 Migrating from the pre-API entry points
 ---------------------------------------
-``AdvancedCompiler(**kwargs).compile(terms)`` and ``compile_advanced(...)``
-still work as deprecation shims; their keyword arguments became fields of the
-frozen :class:`~repro.api.CompilerConfig`, and the monolithic compile body is
-now explicit stages on :class:`~repro.core.AdvancedPipeline` (substitute one
-with ``pipeline.with_stage(name, fn)`` instead of flipping booleans).
+The deprecated ``AdvancedCompiler(**kwargs)`` / ``compile_advanced(...)``
+shims are gone: their keywords are :class:`~repro.api.CompilerConfig` fields,
+so compile with ``get_backend("advanced")`` or
+``AdvancedPipeline(config).run(terms)``, whose stages are explicit (swap one
+with ``pipeline.with_stage(name, fn)``).  ``compile_molecule_ansatz`` takes
+only ``config=`` (``None`` means ``CompilerConfig()``, the old ``seed=0`` /
+``baseline_pso_iterations=0`` defaults).  ``BatchCheckpoint`` is gone too;
+the ``compile_batch(checkpoint_dir=...)`` journal is a plain
+:class:`~repro.service.PersistentCompileCache`.
 ``BaselineCompiler().compile(terms)`` is ``get_backend("baseline")``, and
 ``naive_cnot_count(terms, transform)`` is ``get_backend("jw")`` /
 ``get_backend("bk")``.
@@ -85,7 +90,7 @@ from repro.api import (
 )
 from repro.baselines import BaselineCompiler, naive_cnot_count
 from repro.chemistry import build_molecular_hamiltonian, make_molecule, run_rhf
-from repro.core import AdvancedCompiler, AdvancedPipeline, compile_advanced
+from repro.core import AdvancedPipeline
 from repro.transforms import BravyiKitaevTransform, JordanWignerTransform
 from repro.vqe import ExcitationTerm, select_ansatz_terms
 
@@ -111,53 +116,23 @@ class CompilationReport:
         return 1.0 - self.advanced_cnot_count / self.baseline_cnot_count
 
 
-#: Sentinel telling a legacy keyword of compile_molecule_ansatz apart from an
-#: explicitly passed value (so conflicts with ``config`` can be rejected).
-_UNSET = object()
-
-
 def compile_molecule_ansatz(
     molecule_name: str,
     n_terms: int,
     n_frozen_spatial_orbitals: int = 1,
-    seed=_UNSET,
-    baseline_pso_iterations=_UNSET,
     config: Optional[CompilerConfig] = None,
     cache: Optional[CompileCache] = None,
     workers: int = 1,
-    **advanced_options,
 ) -> CompilationReport:
     """End-to-end convenience API: molecule name in, Table-I-style row out.
 
     Runs Hartree-Fock, selects the ``n_terms`` most important HMP2 excitation
     terms, and compiles them through :func:`repro.api.compile_batch` with the
     four flows compared in Table I of the paper (JW, BK, prior-art baseline,
-    and this work's advanced pipeline).  Pass ``config`` to control every
-    knob of every flow; the legacy ``seed`` (default 0) /
-    ``baseline_pso_iterations`` (default 0) / keyword style still works and
-    builds the config for you, but cannot be combined with an explicit
-    ``config``.  On the legacy path the keyword options scope to the advanced
-    flow only (as they always did): the GT column keeps the prior art's own
-    compression setting, so ablating the advanced pipeline never silently
-    moves the baseline it is compared against.
+    and this work's advanced pipeline), all under one ``config``
+    (``None`` means ``CompilerConfig()``).
     """
-    if config is None:
-        config = CompilerConfig(
-            seed=0 if seed is _UNSET else seed,
-            baseline_pso_iterations=(
-                0 if baseline_pso_iterations is _UNSET else baseline_pso_iterations
-            ),
-            **advanced_options,
-        )
-        baseline_config = config.replace(use_bosonic_encoding=True)
-    elif advanced_options or seed is not _UNSET or baseline_pso_iterations is not _UNSET:
-        raise TypeError(
-            "pass either config or the legacy seed/baseline_pso_iterations/"
-            "keyword options, not both"
-        )
-    else:
-        baseline_config = config
-
+    config = config if config is not None else CompilerConfig()
     molecule = make_molecule(molecule_name)
     frozen = n_frozen_spatial_orbitals if molecule_name != "H2" else 0
     scf = run_rhf(molecule)
@@ -166,30 +141,12 @@ def compile_molecule_ansatz(
     n_qubits = hamiltonian.n_spin_orbitals
 
     request = CompileRequest(terms=tuple(terms), n_qubits=n_qubits, config=config)
-    if baseline_config == config:
-        row = compile_batch(
-            [request],
-            backends=tuple(DEFAULT_BACKEND_NAMES),
-            workers=workers,
-            cache=cache,
-        ).results[0]
-        baseline_result = row["baseline"]
-    else:
-        # Legacy path with advanced ablation kwargs: the GT column compiles
-        # under its own (prior-art) config, so it needs a separate request.
-        baseline_request = CompileRequest(
-            terms=tuple(terms), n_qubits=n_qubits, config=baseline_config
-        )
-        shared_cache = cache if cache is not None else CompileCache()
-        row = compile_batch(
-            [request],
-            backends=("jordan-wigner", "bravyi-kitaev", "advanced"),
-            workers=workers,
-            cache=shared_cache,
-        ).results[0]
-        baseline_result = compile_batch(
-            [baseline_request], backends=("baseline",), workers=workers, cache=shared_cache
-        ).results[0]["baseline"]
+    row = compile_batch(
+        [request],
+        backends=tuple(DEFAULT_BACKEND_NAMES),
+        workers=workers,
+        cache=cache,
+    ).results[0]
 
     return CompilationReport(
         molecule=molecule_name,
@@ -197,7 +154,7 @@ def compile_molecule_ansatz(
         n_qubits=n_qubits,
         jordan_wigner_cnot_count=row["jordan-wigner"].cnot_count,
         bravyi_kitaev_cnot_count=row["bravyi-kitaev"].cnot_count,
-        baseline_cnot_count=baseline_result.cnot_count,
+        baseline_cnot_count=row["baseline"].cnot_count,
         advanced_cnot_count=row["advanced"].cnot_count,
         terms=list(terms),
     )
@@ -217,10 +174,8 @@ __all__ = [
     "compile_batch",
     "get_backend",
     "register_backend",
-    # pipeline + deprecated shims
+    # pipeline and prior-art flows
     "AdvancedPipeline",
-    "AdvancedCompiler",
-    "compile_advanced",
     "BaselineCompiler",
     "naive_cnot_count",
 ]

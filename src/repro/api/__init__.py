@@ -16,8 +16,9 @@ Batches of requests, with memoization and optional process parallelism:
 ...                       workers=4, cache=cache)
 
 See :mod:`repro.api.backend` for the protocol/registry,
-:mod:`repro.api.backends` for the default adapters and
-:mod:`repro.api.batch` for the batch service.
+:mod:`repro.api.backends` for the default adapters,
+:mod:`repro.api.batch` for the batch service and :mod:`repro.api.execute`
+for the job-execution core it shares with :class:`repro.service.CompileService`.
 """
 
 from repro.api.backend import (
@@ -40,24 +41,25 @@ from repro.api.backends import (
     register_default_backends,
 )
 from repro.api.batch import (
-    FALLBACK_RETRYABLE,
     BackendResults,
     BatchReport,
     BatchResult,
-    CompileCache,
     FallbackRecord,
     JobFailure,
-    cache_key_digest,
     compile_batch,
 )
-from repro.api.checkpoint import BatchCheckpoint
+from repro.api.execute import (
+    FALLBACK_RETRYABLE,
+    TRANSIENT,
+    CompileCache,
+    cache_key_digest,
+)
 from repro.api.config import CompilerConfig
 from repro.core.pipeline import StageFailure
 
 __all__ = [
     "BackendRegistrationError",
     "BackendResults",
-    "BatchCheckpoint",
     "BatchReport",
     "BatchResult",
     "CompileCache",
@@ -65,6 +67,7 @@ __all__ = [
     "FallbackRecord",
     "JobFailure",
     "StageFailure",
+    "TRANSIENT",
     "CompileRequest",
     "CompileResult",
     "CompilerBackend",

@@ -15,20 +15,11 @@ not help).
 >>> compile_batch(requests, backends="advanced", cache=cache).cache_hits  # warm
 len(requests)
 
-Batches are *resumable* and *degradable*:
-
-* ``checkpoint_dir=`` journals every completed job in a crash-safe on-disk
-  :class:`~repro.api.checkpoint.BatchCheckpoint`; a batch killed mid-run
-  (crash, OOM, SIGKILL) resumes by recompiling only the missing jobs and
-  serves the journaled results verbatim (bit-identical to an uninterrupted
-  run).
-* ``fallback=("gt", "jw")`` retries a job whose backend failed with a typed
-  stage failure (or an I/O / worker-pool error) on the next backend in the
-  chain, in-process, recording the substitution in the report.
-* ``on_error="collect"`` isolates per-job failures into
-  ``BatchResult.report.failed`` instead of aborting the whole batch
-  (``"raise"``, the historical default, propagates the first unrecovered
-  failure — completed jobs are still journaled first).
+Batches are resumable (``checkpoint_dir=``, a crash-safe journal a killed
+run resumes from), degradable (``fallback=``, a backend chain for failed
+jobs) and failure-isolating (``on_error="collect"``); see
+:func:`compile_batch`.  Lookup, the journal and cache writes go through the
+job-execution core :mod:`repro.api.execute`, shared with the compile service.
 
 Worker processes resolve backends by name from their own registry.  The four
 default backends are always available there; custom backends reach workers
@@ -41,128 +32,29 @@ workers fail with an opaque ``KeyError`` mid-batch.
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import Executor, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro import faults
-from repro.api.backend import (
-    CompileRequest,
-    CompileResult,
-    canonical_backend_name,
-    get_backend,
+from repro.api.backend import CompileRequest, CompileResult, canonical_backend_name
+from repro.api.execute import (
+    FALLBACK_RETRYABLE,
+    CacheKey,
+    CompileCache,
+    Tiers,
+    cache_key_digest,
+    compile_job,
+    compile_job_traced,
 )
-from repro.core.pipeline import StageFailure
 from repro.obs.metrics import get_metrics
-from repro.obs.tracer import get_tracer, tracing
-
-#: Failure classes a backend-fallback chain retries on: typed pipeline stage
-#: failures, I/O errors (incl. injected faults), and broken worker pools.
-#: Input-validation errors (ValueError/TypeError) are deliberately excluded —
-#: a request every backend would reject should fail, not burn the chain.
-FALLBACK_RETRYABLE: Tuple[type, ...] = (StageFailure, OSError, BrokenExecutor)
+from repro.obs.tracer import get_tracer
 
 #: Batch-robustness traffic, in the global obs registry.
 _BATCH_FALLBACKS = get_metrics().counter("batch.fallbacks")
 _BATCH_SKIPPED = get_metrics().counter("batch.checkpoint.skipped")
-_BATCH_CHECKPOINT_ERRORS = get_metrics().counter("batch.checkpoint.errors")
 _BATCH_FAILURES = get_metrics().counter("batch.failures")
-
-#: A memoization key: (request fingerprint, canonical backend name).
-CacheKey = Tuple[Hashable, str]
-
-
-def cache_key_digest(key: CacheKey) -> str:
-    """Stable SHA-256 content address of a memoization key (hex).
-
-    A :data:`CacheKey` is a nest of primitives — ints, floats, strings,
-    booleans, ``None`` and tuples (nested dataclasses such as
-    :class:`~repro.hardware.topology.Topology` are flattened by the config
-    fingerprint's ``dataclasses.astuple``) — so its ``repr`` is deterministic
-    across processes and interpreter restarts.  The persistent on-disk cache
-    (:class:`repro.service.PersistentCompileCache`) uses this digest to shard
-    and address entries.
-    """
-    return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
-
-
-@dataclass
-class CompileCache:
-    """In-memory memoization of compile results with hit/miss accounting.
-
-    ``max_entries`` bounds the cache: when set, inserting beyond the bound
-    evicts the least-recently-used entry (a :meth:`get` hit refreshes an
-    entry's recency, :meth:`peek` does not) and increments ``evictions``,
-    mirroring the bounded-cache convention of the SCF/integral caches.
-    ``None`` (the default) keeps the historical unbounded behavior.
-    """
-
-    _store: Dict[CacheKey, CompileResult] = field(default_factory=dict)
-    hits: int = 0
-    misses: int = 0
-    max_entries: Optional[int] = None
-    evictions: int = 0
-
-    def __post_init__(self):
-        if self.max_entries is not None and self.max_entries < 1:
-            raise ValueError("max_entries must be None or at least 1")
-
-    @staticmethod
-    def key(request: CompileRequest, backend_name: str) -> CacheKey:
-        """Memoization key; config is mostly excluded for config-blind backends.
-
-        A backend declaring ``uses_config = False`` (the naive JW/BK flows)
-        compiles identically under every config, so sweeps over pipeline
-        knobs share its cache entries.  The one exception is the device
-        ``topology``: even the naive flows route against it, so it stays in
-        the key.
-        """
-        backend = get_backend(backend_name)
-        if getattr(backend, "uses_config", True):
-            return (request.fingerprint, backend.name)
-        return (request.input_fingerprint, request.config.topology, backend.name)
-
-    def get(self, key: CacheKey) -> Optional[CompileResult]:
-        result = self._store.get(key)
-        if result is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-            if self.max_entries is not None:  # refresh LRU recency
-                self._store[key] = self._store.pop(key)
-        return result
-
-    def peek(self, key: CacheKey) -> Optional[CompileResult]:
-        """Like :meth:`get` but without touching counters or LRU recency."""
-        return self._store.get(key)
-
-    def put(self, key: CacheKey, result: CompileResult) -> None:
-        self._store.pop(key, None)  # re-insert at the most-recent position
-        self._store[key] = result
-        if self.max_entries is not None:
-            while len(self._store) > self.max_entries:
-                del self._store[next(iter(self._store))]
-                self.evictions += 1
-
-    def clear(self) -> None:
-        self._store.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def __contains__(self, key: CacheKey) -> bool:
-        return key in self._store
 
 
 class BackendResults(Dict[str, CompileResult]):
@@ -270,52 +162,24 @@ class BatchResult:
         return [row[canonical].cnot_count for row in self.results]
 
 
-def _compile_job(job: Tuple[str, CompileRequest]) -> CompileResult:
-    """Worker entry point: resolve the backend by name and compile.
-
-    The two :mod:`repro.faults` sites here are no-ops unless a fault plan is
-    active (chaos tests): ``pool.worker`` is where a ``kill`` rule takes down
-    the hosting pool process, and ``compute`` injects transient compile
-    failures/delays.  Pool workers pick a plan up from the ``REPRO_FAULTS``
-    environment variable (or fork inheritance on Linux).
-    """
-    backend_name, request = job
-    faults.fire("pool.worker", backend=backend_name)
-    faults.fire("compute", backend=backend_name)
-    return get_backend(backend_name).compile(request)
-
-
-def _compile_job_traced(job: Tuple[str, CompileRequest]):
-    """Worker entry point that also collects the worker-side span forest.
-
-    Used instead of :func:`_compile_job` on executor paths when the parent's
-    tracer is enabled: the worker process compiles under a fresh tracer and
-    ships its spans back (picklable dicts, times relative to the worker
-    origin) for :meth:`~repro.obs.tracer.Tracer.adopt` in the parent.
-    """
-    with tracing() as tracer:
-        result = _compile_job(job)
-        return result, tracer.export()
-
-
 def _run_jobs_incremental(
     executor: Executor,
     jobs: Sequence[Tuple[CacheKey, Tuple[str, CompileRequest]]],
     tracer,
-    complete: Callable[[CacheKey, str, CompileRequest, CompileResult], None],
+    complete: Callable[[CacheKey, CompileRequest, CompileResult], None],
     settle_failure: Callable[[CacheKey, str, CompileRequest, BaseException], None],
 ) -> None:
     """Submit every job and handle each outcome *as it completes*.
 
-    Unlike the historical ``executor.map`` path, results reach ``complete``
-    (cache put + checkpoint record) the moment their future resolves, so a
-    batch killed mid-run keeps every job finished before the kill.  With the
-    tracer enabled, jobs go through :func:`_compile_job_traced` and each
+    Results reach ``complete`` (cache put + journal record) the moment their
+    future resolves, so a batch killed mid-run keeps every job finished
+    before the kill.  With the
+    tracer enabled, jobs go through :func:`compile_job_traced` and each
     worker's span forest is adopted under the current span.  A broken pool
     fails only the unfinished jobs (each reaches ``settle_failure`` with the
     ``BrokenExecutor`` error); already-resolved futures keep their results.
     """
-    fn = _compile_job_traced if tracer.enabled else _compile_job
+    fn = compile_job_traced if tracer.enabled else compile_job
     futures = {
         executor.submit(fn, (name, request)): (key, name, request)
         for key, (name, request) in jobs
@@ -332,7 +196,7 @@ def _run_jobs_incremental(
             tracer.adopt(spans)
         else:
             result = outcome
-        complete(key, name, request, result)
+        complete(key, request, result)
 
 
 def _check_worker_backends(canonical_names: Sequence[str]) -> None:
@@ -388,16 +252,16 @@ def compile_batch(
         Table-I row) amortize one pool's startup cost.  Overrides ``workers``;
         the caller shuts it down.
     checkpoint_dir:
-        Directory for a crash-safe :class:`~repro.api.checkpoint.BatchCheckpoint`
-        journal.  Every completed job is recorded the moment it finishes; a
-        rerun over the same directory serves journaled jobs verbatim
-        (``report.skipped``) and recompiles only the rest, making a batch
-        killed mid-run resumable with bit-identical results.
+        Directory of a crash-safe journal (a version-stamped
+        :class:`~repro.service.PersistentCompileCache`) that records each job
+        under its own key the moment it finishes, fallbacks included.  A rerun
+        over it serves journaled jobs verbatim (``report.skipped``) and
+        recompiles only the rest, so a killed batch resumes bit-identically.
     fallback:
         Backend name(s) to retry a job on when its backend fails with a
         :data:`FALLBACK_RETRYABLE` error (typed stage failure, I/O error,
-        broken worker pool).  Tried in order, in-process; the first success
-        fills the job's row (under the originally requested backend's key)
+        broken worker pool).  Tried in order, in-process, each backend's
+        cached result first; the first success fills the job's row (under the originally requested backend's key)
         and is recorded in ``report.fallbacks``.
     on_error:
         ``"raise"`` (default): the first failure that survives the fallback
@@ -420,11 +284,12 @@ def compile_batch(
     if workers > 1 and executor is None:
         _check_worker_backends(canonical_names)
     cache = cache if cache is not None else CompileCache()
-    checkpoint = None
+    journal = None
     if checkpoint_dir is not None:
-        from repro.api.checkpoint import BatchCheckpoint  # late: avoids cycle
+        from repro.service.cache import PersistentCompileCache  # late: cycle
 
-        checkpoint = BatchCheckpoint(checkpoint_dir)
+        journal = PersistentCompileCache(checkpoint_dir)
+    tiers = Tiers(memory=cache, journal=journal)
 
     start = time.perf_counter()
     hits_before, misses_before = cache.hits, cache.misses
@@ -448,46 +313,24 @@ def compile_batch(
             if key in pending or key in resolved:
                 cache.hits += 1  # deduplicated within this batch, costs nothing
                 continue
-            cached = cache.get(key)  # get() counts the hit or miss
-            if cached is not None:
-                resolved[key] = cached
+            cached, tier = tiers.lookup(key)  # the memory tier counts hit/miss
+            if cached is None:
+                pending[key] = (name, request)
                 continue
-            if checkpoint is not None:
-                journaled = checkpoint.lookup(key)
-                if journaled is not None:
-                    # A previous (possibly killed) run finished this job;
-                    # serve its result verbatim so resume is bit-identical.
-                    resolved[key] = journaled
-                    report.skipped.append(cache_key_digest(key))
-                    _BATCH_SKIPPED.inc()
-                    if journaled.backend == name:
-                        cache.put(key, journaled)
-                    continue
-            pending[key] = (name, request)
+            resolved[key] = cached
+            if tier == "journal":
+                # A previous (possibly killed) run finished this job; its
+                # result is served verbatim so resume is bit-identical.
+                report.skipped.append(cache_key_digest(key))
+                _BATCH_SKIPPED.inc()
 
     jobs = list(pending.items())
     tracer = get_tracer()
 
-    def record_checkpoint(key, result):
-        """Journal one completed job; a failed write degrades, never aborts.
-
-        The job *succeeded* — losing its journal record only costs a
-        recompile on resume, so an I/O failure here (full disk, injected
-        ``checkpoint.write`` fault) is counted and swallowed rather than
-        failing the batch.
-        """
-        if checkpoint is None:
-            return
-        try:
-            checkpoint.record(key, result)
-        except OSError:
-            _BATCH_CHECKPOINT_ERRORS.inc()
-
-    def complete(key, name, request, result):
+    def complete(key, request, result):
         """Cache, journal and record one finished job — called incrementally."""
         resolved[key] = result
-        cache.put(key, result)
-        record_checkpoint(key, result)
+        tiers.store(key, request, result)
         report.compiled.append(cache_key_digest(key))
 
     def settle_failure(key, name, request, exc):
@@ -502,19 +345,13 @@ def compile_batch(
                     # In-process (never on a possibly-broken pool); obs spans
                     # nest under batch.compile_batch naturally.
                     with tracer.span("batch.fallback", digest=digest, backend=fb_name):
-                        result = _compile_job((fb_name, request))
+                        result, _ = tiers.lookup(CompileCache.key(request, fb_name))
+                        if result is None:
+                            result = compile_job((fb_name, request))
                 except Exception as fb_exc:
                     attempts.append((fb_name, repr(fb_exc)))
                     continue
-                resolved[key] = result
-                # The shared cache stays honest: the fallback result is cached
-                # under its *own* backend's key, never the failed primary's.
-                cache.put(CompileCache.key(request, fb_name), result)
-                # The journal is a batch artifact ("this job is done"), so it
-                # records under the job's primary key — resume must serve
-                # this same result, not retry the failed backend.
-                record_checkpoint(key, result)
-                report.compiled.append(digest)
+                complete(key, request, result)
                 report.fallbacks.append(
                     FallbackRecord(
                         digest=digest,
@@ -554,11 +391,11 @@ def compile_batch(
             # In-process: spans from each backend nest under this one naturally.
             for key, (name, request) in jobs:
                 try:
-                    result = _compile_job((name, request))
+                    result = compile_job((name, request))
                 except Exception as exc:
                     settle_failure(key, name, request, exc)
                 else:
-                    complete(key, name, request, result)
+                    complete(key, request, result)
         if report.skipped:
             batch_span.set_attribute("n_skipped", len(report.skipped))
         if report.fallbacks:

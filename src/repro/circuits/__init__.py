@@ -12,9 +12,7 @@ The subpackage provides:
 * :func:`~repro.circuits.optimizer.optimize_circuit` — an exact peephole pass
   realizing cancellations at the gate level;
 * :mod:`~repro.circuits.kak` — two-qubit invariants certifying minimal CNOT
-  costs of residual interface blocks;
-* :func:`~repro.circuits.linear_reversible.linear_reversible_circuit` — CNOT
-  synthesis of GF(2) matrices (Γ circuits).
+  costs of residual interface blocks.
 """
 
 from repro.circuits.circuit import Circuit
@@ -42,11 +40,9 @@ from repro.circuits.interface import (
 from repro.circuits.kak import (
     cnot_cost,
     gamma_matrix,
-    interface_block_cost,
     is_local_gate,
     makhlin_invariants,
 )
-from repro.circuits.linear_reversible import circuit_to_matrix, linear_reversible_circuit
 from repro.circuits.optimizer import (
     gates_commute,
     optimize_circuit,
@@ -91,7 +87,4 @@ __all__ = [
     "makhlin_invariants",
     "gamma_matrix",
     "is_local_gate",
-    "interface_block_cost",
-    "linear_reversible_circuit",
-    "circuit_to_matrix",
 ]

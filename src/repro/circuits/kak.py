@@ -98,7 +98,3 @@ def cnot_cost(unitary: np.ndarray, tolerance: float = 1e-8) -> int:
         return 2
     return 3
 
-
-def interface_block_cost(block_unitary: np.ndarray) -> int:
-    """Alias of :func:`cnot_cost` used when certifying interface savings."""
-    return cnot_cost(block_unitary)

@@ -42,13 +42,11 @@ from repro.core.hybrid_encoding import (
 from repro.core.pipeline import (
     DEFAULT_STAGES,
     AdvancedCompilationResult,
-    AdvancedCompiler,
     AdvancedPipeline,
     StageContext,
     StageFailure,
     account_stage,
     classify_stage,
-    compile_advanced,
     gamma_search_stage,
     naive_sort_stage,
     schedule_hybrid_stage,
@@ -63,7 +61,6 @@ from repro.core.terms_to_paulis import (
 )
 
 __all__ = [
-    "AdvancedCompiler",
     "AdvancedCompilationResult",
     "AdvancedPipeline",
     "CompilerConfig",
@@ -77,7 +74,6 @@ __all__ = [
     "sort_stage",
     "naive_sort_stage",
     "account_stage",
-    "compile_advanced",
     "result_to_tour",
     "term_block_tour",
     "HybridSchedule",

@@ -24,9 +24,8 @@ so ablations and experiments are *stage substitutions*
 stage is unit-testable in isolation.  All knobs live in one frozen
 :class:`~repro.core.config.CompilerConfig`.
 
-:class:`AdvancedCompiler` and :func:`compile_advanced` remain as thin
-deprecation shims over :class:`AdvancedPipeline`; new code should go through
-``repro.api`` (``get_backend("advanced").compile(request)``).
+Callers outside the core go through ``repro.api``
+(``get_backend("advanced").compile(request)``).
 
 The result object also knows how to emit an explicit gate-level circuit for
 the fermionic segment (the compressed segments are accounted for with their
@@ -36,7 +35,6 @@ certified per-term costs, since they act on compressed registers).
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -519,89 +517,3 @@ class AdvancedPipeline:
             )
         context.result.stage_seconds = dict(context.stage_seconds)
         return context.result
-
-
-# ----------------------------------------------------------------------
-# Deprecated entry points
-# ----------------------------------------------------------------------
-class AdvancedCompiler:
-    """Deprecated kwarg-style front end to :class:`AdvancedPipeline`.
-
-    Retained so existing callers keep working; new code should build a
-    :class:`~repro.core.config.CompilerConfig` and use ``repro.api``
-    (``get_backend("advanced")``) or :class:`AdvancedPipeline` directly.
-    The constructor arguments mirror :class:`CompilerConfig` fields.
-    """
-
-    def __init__(
-        self,
-        use_bosonic_encoding: bool = True,
-        use_hybrid_encoding: bool = True,
-        use_gamma_search: bool = True,
-        use_advanced_sorting: bool = True,
-        gamma_steps: int = 40,
-        sorting_population: int = 24,
-        sorting_generations: int = 30,
-        coloring_orders: int = 20,
-        seed: Optional[int] = 0,
-    ):
-        warnings.warn(
-            "AdvancedCompiler is deprecated; use repro.api.get_backend('advanced') "
-            "or repro.core.AdvancedPipeline with a CompilerConfig",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.use_bosonic_encoding = use_bosonic_encoding
-        self.use_hybrid_encoding = use_hybrid_encoding
-        self.use_gamma_search = use_gamma_search
-        self.use_advanced_sorting = use_advanced_sorting
-        self.gamma_steps = gamma_steps
-        self.sorting_population = sorting_population
-        self.sorting_generations = sorting_generations
-        self.coloring_orders = coloring_orders
-        self.seed = seed
-
-    def to_config(self) -> CompilerConfig:
-        """The equivalent frozen config (reads the current attribute values)."""
-        return CompilerConfig(
-            use_bosonic_encoding=self.use_bosonic_encoding,
-            use_hybrid_encoding=self.use_hybrid_encoding,
-            use_gamma_search=self.use_gamma_search,
-            use_advanced_sorting=self.use_advanced_sorting,
-            gamma_steps=self.gamma_steps,
-            sorting_population=self.sorting_population,
-            sorting_generations=self.sorting_generations,
-            coloring_orders=self.coloring_orders,
-            seed=self.seed,
-        )
-
-    def compile(
-        self,
-        terms: Sequence[ExcitationTerm],
-        n_qubits: Optional[int] = None,
-        parameters: Optional[Sequence[float]] = None,
-    ) -> AdvancedCompilationResult:
-        """Run the full Fig. 2 flow on an excitation-term list."""
-        return AdvancedPipeline(self.to_config()).run(
-            terms, n_qubits=n_qubits, parameters=parameters
-        )
-
-
-def compile_advanced(
-    terms: Sequence[ExcitationTerm],
-    n_qubits: Optional[int] = None,
-    seed: Optional[int] = 0,
-    **options,
-) -> AdvancedCompilationResult:
-    """Deprecated convenience wrapper over :class:`AdvancedPipeline`.
-
-    Prefer ``get_backend("advanced").compile(request)`` from :mod:`repro.api`.
-    """
-    warnings.warn(
-        "compile_advanced is deprecated; use repro.api.get_backend('advanced') "
-        "or repro.core.AdvancedPipeline",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    config = CompilerConfig(seed=seed, **options)
-    return AdvancedPipeline(config).run(terms, n_qubits=n_qubits)

@@ -47,7 +47,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro import faults
 from repro.api.backend import CompileResult
-from repro.api.batch import CacheKey, cache_key_digest
+from repro.api.execute import CacheKey, cache_key_digest
 
 #: Bumped whenever the on-disk entry layout changes; part of every stamp.
 #: 2: CompileResult gained the ``stage_timings`` field.

@@ -5,9 +5,10 @@ Two small, executor-agnostic policies plus the typed failures they produce:
 * :class:`RetryPolicy` — exponential backoff with **deterministic** jitter
   (a hash of the retry token, not a live RNG, so a replayed workload backs
   off identically) and a retryable-exception classification.  The default
-  classification retries transient infrastructure failures — ``OSError``
-  (which covers :class:`~repro.faults.InjectedFault`), ``ConnectionError``
-  and :class:`WorkerCrashed` — and never retries deterministic compile
+  classification is the execution core's :data:`~repro.api.execute.TRANSIENT`
+  — ``OSError`` (which covers ``ConnectionError`` and
+  :class:`~repro.faults.InjectedFault`), broken executors and
+  :class:`WorkerCrashed` — and never retries deterministic compile
   errors (a ``ValueError`` from a bad molecule will fail identically every
   attempt) or :class:`JobTimedOut` (the deadline already expired).
   An optional ``budget`` caps total retries service-wide so a systemic
@@ -34,6 +35,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple, Type
 
+from repro.api.execute import TRANSIENT, WorkerCrashed
+
 __all__ = [
     "BREAKER_CLOSED",
     "BREAKER_HALF_OPEN",
@@ -54,16 +57,6 @@ class JobTimedOut(TimeoutError):
         )
         self.job_id = job_id
         self.deadline_s = deadline_s
-
-
-class WorkerCrashed(RuntimeError):
-    """A process-pool worker died mid-compile (e.g. OOM-killed).
-
-    Raised in place of the executor's ``BrokenProcessPool`` so the failure is
-    (a) scoped to the job that hit it rather than poisoning the service and
-    (b) classified as retryable — the pool is replenished and the retry (or a
-    dedup joiner awaiting the same future) gets the recomputed result.
-    """
 
 
 @dataclass(frozen=True)
@@ -89,11 +82,7 @@ class RetryPolicy:
     max_delay_s: float = 2.0
     multiplier: float = 2.0
     jitter: float = 0.1
-    retryable: Tuple[Type[BaseException], ...] = (
-        WorkerCrashed,
-        OSError,
-        ConnectionError,
-    )
+    retryable: Tuple[Type[BaseException], ...] = TRANSIENT
     budget: Optional[int] = None
 
     def __post_init__(self):

@@ -16,59 +16,44 @@ Identical in-flight requests — same memoization key as the in-memory
 one compilation and N-1 of them are served from the ``dedup`` tier, while
 each keeps its *own* result future so per-submitter deadlines, cancellation
 and timeouts compose with dedup.  Worker tasks serve each job through the
-layered lookup path
+execution core :mod:`repro.api.execute` that :func:`~repro.api.compile_batch`
+uses too: its :class:`~repro.api.execute.Tiers` chain
 
     memory (CompileCache) → disk (PersistentCompileCache) → compute
 
-where the compute step reuses the batch layer's worker entry point
-(:func:`repro.api.batch._compile_job`) on a caller-supplied executor — pass a
-``ProcessPoolExecutor`` (or better, ``executor_factory=`` so the service can
-replenish a crashed pool) for real parallelism, or leave the default to run
-compilations on the event loop's thread pool.
+and its worker entry point :func:`~repro.api.execute.compile_job`, run on a
+caller-supplied executor — pass a ``ProcessPoolExecutor`` (or better,
+``executor_factory=`` so the service can replenish a crashed pool) for real
+parallelism, or leave the default to run compilations on the event loop's
+thread pool.  This module adds only the asynchronous parts: queueing, dedup,
+deadlines, backoff, abandonment and drain.
 
-The resilience layer (this PR's reason to exist) is built from the
-:mod:`repro.service.resilience` primitives:
+The resilience layer is built from the :mod:`repro.service.resilience`
+primitives (see :class:`CompileService` for the knobs):
 
-* **Deadlines** — ``submit(..., deadline_s=...)`` arms a watchdog that fails
-  the submitter's future with :class:`JobTimedOut` the moment the deadline
-  passes, whether the job is still queued or already computing.  A shared
-  (deduplicated) compilation keeps running for the submitters that still
-  have time.
-* **Retries** — transient compute failures (classified by
-  :class:`RetryPolicy`; worker crashes and I/O errors by default) are
-  retried with exponential backoff and deterministic jitter, bounded by the
-  per-job attempt cap and the service-wide retry budget, all surfaced in
-  :class:`ServiceMetrics` and traced as ``service.retry`` spans.
-* **Worker-crash recovery** — a died process-pool worker surfaces as
-  :class:`WorkerCrashed` on the job that hit it (not a poisoned service);
-  when the service owns its pool (``executor_factory``) the broken pool is
-  replaced before the retry, and dedup joiners receive the retried result.
-* **Disk circuit breaker** — consecutive disk-tier faults (I/O errors,
-  corrupt shards) open a :class:`CircuitBreaker`; while open, lookups skip
-  straight to memory → compute (graceful degradation), and half-open probes
-  re-admit the tier once it heals.  Transitions are counted, gauged and
-  emitted as ``service.breaker`` spans.
-* **Backend fallback chains** — ``CompileService(fallback=("gt", "jw"))``
-  retries a job whose backend failed with a typed stage failure, I/O error
-  or worker crash (after the retry policy is exhausted) on the next backend
-  in the chain.  The substitute result is cached under *its own* backend's
-  key (no cache poisoning), served to every submitter, counted in
-  ``metrics.fallbacks`` and traced as a ``service.fallback`` span.
-* **Graceful shutdown** — ``shutdown(drain=True, timeout_s=...)`` stops
-  accepting work and finishes what is queued/in flight before closing,
-  instead of cancelling it.
+* **Deadlines** — a missed deadline fails that submitter with
+  :class:`JobTimedOut`, queued or computing; a shared (deduplicated)
+  compilation keeps running for the submitters that still have time.
+* **Retries** — :class:`RetryPolicy` retries transient compute failures with
+  exponential backoff and deterministic jitter, traced as ``service.retry``.
+* **Worker-crash recovery** — a died pool worker surfaces as
+  :class:`WorkerCrashed` on the job that hit it; an owned pool
+  (``executor_factory``) is replaced before the retry.
+* **Disk circuit breaker** — consecutive disk faults open a
+  :class:`CircuitBreaker` and lookups degrade to memory → compute until
+  half-open probes re-admit the tier; transitions are traced as
+  ``service.breaker``.
+* **Backend fallback chains** — ``fallback=("gt", "jw")`` serves a job whose
+  backend failed (after the retries) from the next backend in the chain,
+  cached or computed, traced as ``service.fallback``.
+* **Graceful shutdown** — ``shutdown(drain=True, timeout_s=...)`` finishes
+  queued and in-flight work before closing.
 
 Every tier transition and resilience event is recorded in
 :class:`~repro.service.metrics.ServiceMetrics`; the chaos suite
 (``tests/service/test_chaos.py``) and ``benchmarks/bench_chaos.py`` drive
-the whole layer under :mod:`repro.faults` injection.
-
-Usage::
-
-    async with CompileService(disk_cache=PersistentCompileCache(dir)) as svc:
-        job = await svc.submit(request, backend="advanced", deadline_s=30.0)
-        result = await svc.result(job)
-        svc.metrics.snapshot()
+the whole layer under :mod:`repro.faults` injection.  Usage is in
+:mod:`repro.service`.
 """
 
 from __future__ import annotations
@@ -83,13 +68,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import faults
 from repro.api.backend import CompileRequest, CompileResult, canonical_backend_name
-from repro.api.batch import (
+from repro.api.execute import (
     FALLBACK_RETRYABLE,
     CacheKey,
     CompileCache,
-    _compile_job,
-    _compile_job_traced,
+    Tiers,
     cache_key_digest,
+    compile_job,
+    compile_job_traced,
 )
 from repro.obs.tracer import get_tracer
 from repro.service.cache import PersistentCompileCache
@@ -102,12 +88,6 @@ from repro.service.resilience import (
     RetryPolicy,
     WorkerCrashed,
 )
-
-#: Failure classes the service's backend fallback chain retries on: the
-#: batch layer's set (typed stage failures, I/O errors, broken pools) plus
-#: :class:`WorkerCrashed`, the service's own translation of a died worker.
-_SERVICE_FALLBACK_RETRYABLE: Tuple[type, ...] = FALLBACK_RETRYABLE + (WorkerCrashed,)
-
 
 class ServiceOverloadedError(RuntimeError):
     """The job queue is full; the submitter should back off and retry.
@@ -279,11 +259,10 @@ class CompileService:
         Deadline applied to submits that don't pass their own (``None`` =
         no deadline).
     fallback:
-        Backend name(s) to retry a job on when its own backend fails with a
-        retryable error (typed pipeline :class:`~repro.core.StageFailure`,
-        I/O error, worker crash) after the retry policy is exhausted.  Tried
-        in order, one attempt each; a success serves every submitter and is
-        cached under the fallback backend's own key.
+        Backend name(s) to serve a job from, in order, when its own backend
+        fails with a :data:`~repro.api.FALLBACK_RETRYABLE` error after the
+        retry policy is exhausted; each is looked up in the tiers, then
+        computed once.  A success serves every submitter.
 
     Lower ``priority`` values run earlier; ties are FIFO.
     """
@@ -322,6 +301,13 @@ class CompileService:
         if self.breaker is not None:
             self._chain_breaker_callback(self.breaker)
             self.metrics.record_breaker_state(self.breaker.state_code)
+        self.tiers = Tiers(
+            memory=self.memory_cache,
+            disk=disk_cache,
+            breaker=self.breaker,
+            disk_faults=self.metrics.registry.counter("service.disk_faults"),
+            disk_skipped=self.metrics.registry.counter("service.disk_degraded"),
+        )
         self.default_deadline_s = default_deadline_s
         if isinstance(fallback, str):
             fallback = (fallback,)
@@ -530,13 +516,14 @@ class CompileService:
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict:
         """Service metrics plus per-tier cache counters, JSON-ready."""
-        data = {"metrics": self.metrics.snapshot()}
-        if self.retry_policy is not None:
-            data["retry_policy"] = {
+        data = {
+            "metrics": self.metrics.snapshot(),
+            "retry_policy": {
                 "max_attempts": self.retry_policy.max_attempts,
                 "budget": self.retry_policy.budget,
                 "budget_remaining": self._retry_budget_remaining(),
-            }
+            },
+        }
         if self.breaker is not None:
             data["breaker"] = {
                 "state": self.breaker.state,
@@ -622,13 +609,13 @@ class CompileService:
         return round(max(0.05, (depth + 1) * median_s / self._n_workers), 3)
 
     def _retry_budget_remaining(self) -> Optional[int]:
-        budget = self.retry_policy.budget if self.retry_policy else None
+        budget = self.retry_policy.budget
         if budget is None:
             return None
         return max(0, budget - self.metrics.retries)
 
     # ------------------------------------------------------------------
-    # Disk tier behind the circuit breaker
+    # Disk circuit breaker telemetry
     # ------------------------------------------------------------------
     def _chain_breaker_callback(self, breaker: CircuitBreaker) -> None:
         existing = breaker.on_transition
@@ -649,59 +636,6 @@ class CompileService:
 
         breaker.on_transition = on_transition
 
-    def _breaker_allows(self) -> bool:
-        breaker = self.breaker
-        if breaker is None or breaker.allow():
-            return True
-        self.metrics.disk_degraded += 1
-        return False
-
-    def _record_disk_outcome(self, ok: bool) -> None:
-        if not ok:
-            self.metrics.disk_faults += 1
-        breaker = self.breaker
-        if breaker is not None:
-            if ok:
-                breaker.record_success()
-            else:
-                breaker.record_failure()
-
-    def _disk_get(self, key: CacheKey) -> Optional[CompileResult]:
-        disk = self.disk_cache
-        if disk is None or not self._breaker_allows():
-            return None
-        before = disk.fault_events
-        try:
-            result = disk.get(key)
-        except OSError:
-            self._record_disk_outcome(ok=False)
-            return None
-        self._record_disk_outcome(ok=disk.fault_events == before)
-        return result
-
-    def _disk_put(self, key: CacheKey, result: CompileResult) -> None:
-        disk = self.disk_cache
-        if disk is None or not self._breaker_allows():
-            return
-        before = disk.fault_events
-        try:
-            disk.put(key, result)
-        except OSError:
-            self._record_disk_outcome(ok=False)
-            return  # a failed cache write degrades; the job still succeeds
-        self._record_disk_outcome(ok=disk.fault_events == before)
-
-    def _lookup(self, key: CacheKey) -> Tuple[Optional[CompileResult], Optional[str]]:
-        """The cache tiers of the lookup path: memory first, then disk."""
-        if self.memory_cache is not None:
-            result = self.memory_cache.get(key)
-            if result is not None:
-                return result, "memory"
-        result = self._disk_get(key)
-        if result is not None:
-            return result, "disk"
-        return None, None
-
     # ------------------------------------------------------------------
     # Compute with crash translation and retries
     # ------------------------------------------------------------------
@@ -720,30 +654,22 @@ class CompileService:
         if broken is not None:
             broken.shutdown(wait=False)
 
-    async def _run_compute_once(
-        self, job: _Job, compute_start: float, backend: Optional[str] = None
-    ):
-        """One executor round-trip, with worker-crash translation.
+    async def _run_compute_once(self, job: _Job, backend: Optional[str] = None):
+        """One timed executor round-trip, with worker-crash translation.
 
         ``backend`` overrides the job's own backend for fallback-chain
         attempts; everything else (executor, crash translation, span
-        adoption) is identical.
+        adoption, the compute-latency sample) is identical.
         """
         backend = backend if backend is not None else job.backend
+        compute_start = time.perf_counter()
         loop = asyncio.get_running_loop()
         tracer = get_tracer()
         executor = self._executor
-        if tracer.enabled:
-            # Executor workers do not inherit the tracing contextvar;
-            # collect their span forest explicitly and rebase it at the
-            # compute start time.
-            exec_future = loop.run_in_executor(
-                executor, _compile_job_traced, (backend, job.request)
-            )
-        else:
-            exec_future = loop.run_in_executor(
-                executor, _compile_job, (backend, job.request)
-            )
+        # Executor workers do not inherit the tracing contextvar; with the
+        # tracer on they ship their span forest back, rebased at compute start.
+        entry = compile_job_traced if tracer.enabled else compile_job
+        exec_future = loop.run_in_executor(executor, entry, (backend, job.request))
         job.exec_future = exec_future
         try:
             raw = await exec_future
@@ -755,11 +681,12 @@ class CompileService:
             ) from exc
         finally:
             job.exec_future = None
+        result = raw
         if tracer.enabled:
             result, spans = raw
             tracer.adopt(spans, at=compute_start)
-            return result
-        return raw
+        self.metrics.compute.record(time.perf_counter() - compute_start)
+        return result
 
     async def _compute_with_retries(self, job: _Job):
         """Drive the compute step under the retry policy.
@@ -775,22 +702,16 @@ class CompileService:
         while True:
             try:
                 with tracer.span("service.compute", attempt=attempt):
-                    compute_start = time.perf_counter()
-                    result = await self._run_compute_once(job, compute_start)
-                self.metrics.compute.record(time.perf_counter() - compute_start)
-                return result
+                    return await self._run_compute_once(job)
             except asyncio.CancelledError:
                 if job.abandon_requested and not self._task_cancelling():
                     return _ABANDONED
                 raise
             except Exception as exc:
                 attempt += 1
-                retryable = policy is not None and policy.is_retryable(exc)
-                budget_left = policy is not None and (
-                    policy.budget is None or self.metrics.retries < policy.budget
-                )
+                budget_left = policy.budget is None or self.metrics.retries < policy.budget
                 if (
-                    not retryable
+                    not policy.is_retryable(exc)
                     or not budget_left
                     or attempt >= policy.max_attempts
                     or job.abandoned
@@ -810,37 +731,39 @@ class CompileService:
     async def _compute_with_fallback(self, job: _Job):
         """Compute under the retry policy, then walk the backend fallback chain.
 
-        Returns ``(result, fallback_backend)`` where ``fallback_backend`` is
-        ``None`` when the job's own backend (or the lookup) produced the
-        result.  Re-raises the original failure when the chain is empty,
-        ineligible, or exhausted — fallback-attempt errors are subordinate
-        to the primary error the submitters should see.
+        Returns ``(result, tier, fallback_backend)``: ``tier`` is
+        ``"compute"`` unless a fallback backend's result came from a cache
+        tier, and ``fallback_backend`` is ``None`` when the job's own backend
+        produced the result.  Re-raises the original failure when the chain
+        is empty, ineligible, or exhausted — fallback-attempt errors are
+        subordinate to the primary error the submitters should see.
         """
         tracer = get_tracer()
         try:
-            return await self._compute_with_retries(job), None
+            return await self._compute_with_retries(job), "compute", None
         except asyncio.CancelledError:
             raise
-        except _SERVICE_FALLBACK_RETRYABLE as exc:
+        except FALLBACK_RETRYABLE as exc:
             for fb_name in self.fallback_chain:
                 if fb_name == job.backend:
                     continue
                 with tracer.span(
                     "service.fallback", job_id=job.job_id, backend=fb_name
                 ) as fb_span:
-                    try:
-                        compute_start = time.perf_counter()
-                        result = await self._run_compute_once(
-                            job, compute_start, backend=fb_name
-                        )
-                    except asyncio.CancelledError:
-                        raise
-                    except Exception as fb_exc:
-                        fb_span.set_attribute("error", type(fb_exc).__name__)
-                        continue
-                self.metrics.compute.record(time.perf_counter() - compute_start)
+                    result, tier = self.tiers.lookup(
+                        CompileCache.key(job.request, fb_name)
+                    )
+                    if result is None:
+                        tier = "compute"
+                        try:
+                            result = await self._run_compute_once(job, fb_name)
+                        except asyncio.CancelledError:
+                            raise
+                        except Exception as fb_exc:
+                            fb_span.set_attribute("error", type(fb_exc).__name__)
+                            continue
                 self.metrics.fallbacks += 1
-                return result, fb_name
+                return result, tier, fb_name
             raise exc
 
     async def _worker(self) -> None:
@@ -871,23 +794,16 @@ class CompileService:
                 "service.job", backend=job.backend, job_id=job.job_id
             ) as job_span:
                 with tracer.span("service.lookup"):
-                    result, tier = self._lookup(job.key)
-                store_key = job.key
+                    result, tier = self.tiers.lookup(job.key)
                 if result is None:
-                    result, fallback_backend = await self._compute_with_fallback(job)
+                    result, tier, fallback = await self._compute_with_fallback(job)
                     if result is _ABANDONED:
                         self._inflight.pop(job.key, None)
                         return
-                    tier = "compute"
-                    if fallback_backend is not None:
-                        # The caches stay honest: a fallback backend's result
-                        # is stored under its own key, never the failed
-                        # primary's — submitters are served directly instead.
-                        store_key = CompileCache.key(job.request, fallback_backend)
-                        job_span.set_attribute("fallback", fallback_backend)
-                    self._disk_put(store_key, result)
-                if self.memory_cache is not None:
-                    self.memory_cache.put(store_key, result)
+                    if fallback is not None:
+                        job_span.set_attribute("fallback", fallback)
+                    if tier == "compute":
+                        self.tiers.store(job.key, job.request, result)
                 job_span.set_attribute("tier", tier)
         except asyncio.CancelledError:
             for submitter in job.group:

@@ -1,6 +1,6 @@
 """Fermion-to-qubit transformations and GF(2) linear-reversible machinery.
 
-Exports the Jordan-Wigner, Bravyi-Kitaev, parity, ternary-tree and generalized
+Exports the Jordan-Wigner, Bravyi-Kitaev, parity and generalized
 (Γ-conjugated) transforms along with the binary-matrix utilities they are
 built from.
 """
@@ -41,7 +41,6 @@ from repro.transforms.linear_encoding import (
     generalized_transform,
     parity_transform,
 )
-from repro.transforms.ternary_tree import TernaryTreeTransform
 
 __all__ = [
     "FermionQubitTransform",
@@ -51,7 +50,6 @@ __all__ = [
     "LinearEncodingTransform",
     "BravyiKitaevTransform",
     "ParityTransform",
-    "TernaryTreeTransform",
     "bravyi_kitaev",
     "parity_transform",
     "generalized_transform",

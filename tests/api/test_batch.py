@@ -293,27 +293,23 @@ class TestMultiBackendBatches:
 
 
 class TestConvenienceApiGuards:
-    def test_config_conflicts_with_legacy_keywords(self):
+    def test_legacy_keywords_are_rejected(self):
         from repro import compile_molecule_ansatz
 
         for kwargs in ({"seed": 42}, {"baseline_pso_iterations": 2}, {"gamma_steps": 3}):
-            with pytest.raises(TypeError, match="config"):
-                compile_molecule_ansatz(
-                    "H2", n_terms=2, config=CompilerConfig(), **kwargs
-                )
+            with pytest.raises(TypeError):
+                compile_molecule_ansatz("H2", n_terms=2, **kwargs)
 
-    def test_legacy_ablation_kwargs_do_not_move_the_baseline_column(self):
-        """On the legacy path the keyword options scope to the advanced flow:
-        disabling the advanced pipeline's compression must leave the GT
-        column (the prior art as published) untouched."""
+    def test_default_config_keeps_the_legacy_defaults(self):
+        """``config=None`` compiles under ``CompilerConfig()``, whose seed and
+        PSO budget are the defaults the removed keywords had."""
         from repro import compile_molecule_ansatz
 
-        fast = dict(gamma_steps=5, sorting_population=8, sorting_generations=5)
-        full = compile_molecule_ansatz("H2", n_terms=3, **fast)
-        ablated = compile_molecule_ansatz(
-            "H2", n_terms=3, use_bosonic_encoding=False, **fast
-        )
-        assert ablated.baseline_cnot_count == full.baseline_cnot_count
+        legacy_defaults = CompilerConfig(seed=0, baseline_pso_iterations=0)
+        assert CompilerConfig() == legacy_defaults
+        default = compile_molecule_ansatz("H2", n_terms=3)
+        explicit = compile_molecule_ansatz("H2", n_terms=3, config=legacy_defaults)
+        assert default == explicit
 
 
 class TestParallelWorkers:

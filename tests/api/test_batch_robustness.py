@@ -161,6 +161,22 @@ class TestFallbackChain:
         assert CompileCache.key(request, "exploder") not in cache
         assert CompileCache.key(request, "advanced") in cache
 
+    def test_cached_fallback_result_is_served_without_recompiling(
+        self, exploder, flaky
+    ):
+        flaky.broken = False
+        cache = CompileCache()
+        request = make_request()
+        warm = compile_batch([request], backends="flaky", cache=cache)
+        assert flaky.calls == 1
+        batch = compile_batch(
+            [request], backends="exploder", cache=cache, fallback=("flaky",)
+        )
+        assert flaky.calls == 1  # zero fallback compiles: the memory tier served it
+        assert batch.results[0]["exploder"] is warm.results[0]["flaky"]
+        (record,) = batch.report.fallbacks
+        assert record.succeeded == "flaky"
+
     def test_chain_tried_in_order(self, exploder, rejecting, flaky):
         flaky.broken = False
         batch = compile_batch(
@@ -372,6 +388,20 @@ class TestCheckpointResume:
         assert resumed.report.skipped == first.report.compiled
         assert resumed.results[0]["exploder"] == first.results[0]["exploder"]
         assert resumed.results[0]["exploder"].backend == "advanced"
+
+    def test_fault_free_journal_write_fires_nothing(self, flaky, tmp_path):
+        flaky.broken = False
+        try:
+            with inject("checkpoint.write=error:0.0") as plan:
+                compile_batch([make_request()], backends="flaky", checkpoint_dir=tmp_path)
+        finally:
+            deactivate()
+        assert plan.evaluations["checkpoint.write"] == 1
+        assert plan.fired_total() == 0
+        resumed = compile_batch(
+            [make_request()], backends="flaky", checkpoint_dir=tmp_path
+        )
+        assert len(resumed.report.skipped) == 1
 
     def test_checkpoint_write_fault_degrades_instead_of_aborting(
         self, flaky, tmp_path

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.api import CompilerConfig
+from repro.api import CompileRequest, CompilerConfig, get_backend
 from repro.core import (
-    AdvancedCompiler,
     AdvancedPipeline,
     SortingResult,
     StageContext,
@@ -201,13 +200,12 @@ class TestPipelineComposition:
         assert via_run.cnot_count == context.result.cnot_count
         assert via_run.breakdown() == context.result.breakdown()
 
-    def test_matches_deprecated_compiler_shim(self, mixed_terms):
-        shim = AdvancedCompiler(
-            gamma_steps=8, sorting_population=10, sorting_generations=8, seed=0
-        ).compile(mixed_terms, n_qubits=8)
+    def test_matches_the_advanced_backend(self, mixed_terms):
+        request = CompileRequest(terms=tuple(mixed_terms), n_qubits=8, config=FAST)
+        via_backend = get_backend("advanced").compile(request)
         staged = AdvancedPipeline(FAST).run(mixed_terms, n_qubits=8)
-        assert shim.cnot_count == staged.cnot_count
-        assert shim.breakdown() == staged.breakdown()
+        assert via_backend.cnot_count == staged.cnot_count
+        assert via_backend.breakdown == staged.breakdown()
 
     def test_with_stage_substitutes_one_stage(self, mixed_terms):
         recorded = {}

@@ -11,7 +11,7 @@ from repro.api import (
     compile_batch,
     get_backend,
 )
-from repro.api.batch import _compile_job_traced
+from repro.api.execute import compile_job_traced
 from repro.chemistry import (
     build_molecular_hamiltonian,
     clear_scf_cache,
@@ -117,7 +117,7 @@ class TestCompileSpans:
             assert any(g.name == "pipeline.run" for g in child.walk())
 
     def test_compile_job_traced_exports_the_worker_forest(self):
-        result, spans = _compile_job_traced(("advanced", small_request()))
+        result, spans = compile_job_traced(("advanced", small_request()))
         assert result.backend == "advanced"
         assert [span["name"] for span in spans] == ["compile.advanced"]
         assert spans[0]["start_s"] >= 0.0

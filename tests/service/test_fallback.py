@@ -14,7 +14,7 @@ from repro.api import (
     unregister_backend,
 )
 from repro.obs.tracer import tracing
-from repro.service import CompileService, RetryPolicy
+from repro.service import CompileService, PersistentCompileCache, RetryPolicy
 from repro.vqe import ExcitationTerm
 
 FAST = CompilerConfig(gamma_steps=5, sorting_population=8, sorting_generations=5, seed=0)
@@ -144,6 +144,40 @@ class TestServiceFallback:
         # Cache honesty: nothing under the failed primary backend's key.
         assert CompileCache.key(request, "svc-breaking") not in memory_cache
         assert CompileCache.key(request, "svc-rescue") in memory_cache
+
+    def test_cached_fallback_result_is_served_without_recompiling(
+        self, breaking, rescue
+    ):
+        async def scenario():
+            async with CompileService(
+                fallback=("svc-rescue",), retry_policy=NO_RETRIES
+            ) as service:
+                warm = await service.compile(make_request(), backend="svc-rescue")
+                job_id = await service.submit(make_request(), backend="svc-breaking")
+                result = await service.result(job_id)
+                return warm, result, service.status(job_id), service.metrics.fallbacks
+
+        warm, result, status, fallbacks = run(scenario())
+        assert len(rescue.compiled) == 1  # zero fallback compiles
+        assert result is warm
+        assert status.tier == "memory"
+        assert fallbacks == 1
+
+    def test_fallback_served_from_the_disk_tier(self, breaking, rescue, tmp_path):
+        async def scenario(backend):
+            async with CompileService(
+                disk_cache=PersistentCompileCache(tmp_path),
+                fallback=("svc-rescue",),
+                retry_policy=NO_RETRIES,
+            ) as service:
+                job_id = await service.submit(make_request(), backend=backend)
+                return await service.result(job_id), service.status(job_id)
+
+        warm, _ = run(scenario("svc-rescue"))  # a previous service process
+        result, status = run(scenario("svc-breaking"))
+        assert len(rescue.compiled) == 1
+        assert result == warm
+        assert status.tier == "disk"
 
     def test_chain_walks_past_a_broken_fallback(self, breaking, rescue, rescue2):
         rescue.broken = True

@@ -52,6 +52,9 @@ class TestVersionStamp:
         assert stamp  # still a usable stamp
         assert f"format={CACHE_FORMAT_VERSION}" not in stamp  # hashed, not raw
 
+    def test_default_cache_version_is_the_golden_stamp(self, tmp_path):
+        assert PersistentCompileCache(tmp_path).version == golden_version_stamp()
+
     def test_default_stamp_covers_the_repo_goldens(self):
         # The default stamp must differ from the bare-format fallback,
         # proving it actually folded the tests/golden files in.
