@@ -14,6 +14,7 @@ from repro.api import (
     CompilerConfig,
     StageFailure,
     compile_batch,
+    get_backend,
     register_backend,
     unregister_backend,
 )
@@ -247,3 +248,160 @@ class TestBatchServiceDifferential:
         assert len(disk) == 1
         assert CompileCache.key(request, "core-broken") not in disk
         assert disk.peek(CompileCache.key(request, "baseline")) == result
+
+
+class TestJournalTier:
+    """The batch journal is a plain persistent tier of the core; these are the
+    behaviours the old checkpoint wrapper promised, exercised through it."""
+
+    def test_journaled_result_survives_a_fresh_tiers_instance(self, tmp_path):
+        request = make_request()
+        key = CompileCache.key(request, "advanced")
+        Tiers(journal=PersistentCompileCache(tmp_path)).store(
+            key, request, make_result("advanced", 9)
+        )
+        result, tier = Tiers(journal=PersistentCompileCache(tmp_path)).lookup(key)
+        assert (result.cnot_count, tier) == (9, "journal")
+
+    def test_stale_version_journal_is_a_miss(self, tmp_path):
+        request = make_request()
+        key = CompileCache.key(request, "advanced")
+        Tiers(journal=PersistentCompileCache(tmp_path, version="old")).store(
+            key, request, make_result("advanced")
+        )
+        tiers = Tiers(journal=PersistentCompileCache(tmp_path, version="new"))
+        assert tiers.lookup(key) == (None, None)
+        assert tiers.journal.stale_invalidations == 1
+
+    def test_journal_store_leaves_no_temporary_files(self, tmp_path):
+        tiers = Tiers(journal=PersistentCompileCache(tmp_path))
+        for shift in range(3):
+            request = make_request(shift)
+            tiers.store(CompileCache.key(request, "advanced"), request, make_result("advanced"))
+        assert len(tiers.journal) == 3
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_cleared_journal_misses(self, tmp_path):
+        tiers = Tiers(journal=PersistentCompileCache(tmp_path))
+        keys = []
+        for shift in range(2):
+            request = make_request(shift)
+            keys.append(CompileCache.key(request, "advanced"))
+            tiers.store(keys[-1], request, make_result("advanced"))
+        assert tiers.journal.clear() == 2
+        assert all(tiers.lookup(key) == (None, None) for key in keys)
+
+    def test_failed_journal_write_spares_the_disk_tier(self, tmp_path):
+        tiers = Tiers(
+            journal=PersistentCompileCache(tmp_path / "journal"),
+            disk=PersistentCompileCache(tmp_path / "disk"),
+        )
+        key = CompileCache.key(make_request(), "advanced")
+        try:
+            with inject("checkpoint.write=error:1.0"):
+                tiers.store(key, make_request(), make_result("advanced"))
+        finally:
+            deactivate()
+        assert key not in tiers.journal
+        assert key in tiers.disk
+        assert tiers.disk_faults.value == 0
+
+    def test_journal_hit_does_not_touch_the_disk(self, tmp_path):
+        request = make_request()
+        key = CompileCache.key(request, "advanced")
+        journal = PersistentCompileCache(tmp_path / "journal")
+        disk = PersistentCompileCache(tmp_path / "disk")
+        journal.put(key, make_result("advanced"))
+        assert Tiers(journal=journal, disk=disk).lookup(key)[1] == "journal"
+        assert (disk.hits, disk.misses) == (0, 0)
+
+
+class TestTierEdges:
+    def test_no_tiers_configured(self):
+        tiers = Tiers()
+        key = CompileCache.key(make_request(), "advanced")
+        tiers.store(key, make_request(), make_result("advanced"))
+        assert tiers.lookup(key) == (None, None)
+
+    def test_memory_hit_short_circuits_lower_tiers(self, tmp_path):
+        request = make_request()
+        key = CompileCache.key(request, "advanced")
+        tiers = Tiers(
+            memory=CompileCache(),
+            journal=PersistentCompileCache(tmp_path / "journal"),
+            disk=PersistentCompileCache(tmp_path / "disk"),
+        )
+        tiers.memory.put(key, make_result("advanced"))
+        assert tiers.lookup(key)[1] == "memory"
+        assert (tiers.journal.hits, tiers.journal.misses) == (0, 0)
+        assert (tiers.disk.hits, tiers.disk.misses) == (0, 0)
+
+    def test_disk_oserror_degrades_to_a_miss(self, tmp_path, monkeypatch):
+        breaker = CircuitBreaker(failure_threshold=5, reset_timeout_s=60.0)
+        tiers = Tiers(disk=PersistentCompileCache(tmp_path), breaker=breaker)
+
+        def unreadable(key):
+            raise PermissionError("disk tier unreadable")
+
+        monkeypatch.setattr(tiers.disk, "get", unreadable)
+        key = CompileCache.key(make_request(), "advanced")
+        assert tiers.lookup(key) == (None, None)
+        assert tiers.disk_faults.value == 1
+        assert breaker.consecutive_failures == 1
+
+    def test_successful_disk_call_resets_the_failure_streak(self, tmp_path):
+        breaker = CircuitBreaker(failure_threshold=2, reset_timeout_s=60.0)
+        tiers = Tiers(disk=PersistentCompileCache(tmp_path), breaker=breaker)
+        key = CompileCache.key(make_request(), "advanced")
+        breaker.record_failure()
+        tiers.store(key, make_request(), make_result("advanced"))
+        assert breaker.consecutive_failures == 0
+        breaker.record_failure()
+        assert breaker.state == "closed"
+
+    def test_half_open_breaker_closes_after_probe_successes(self, tmp_path):
+        now = [0.0]
+        breaker = CircuitBreaker(
+            failure_threshold=1, reset_timeout_s=1.0, probe_successes=2,
+            clock=lambda: now[0],
+        )
+        disk = PersistentCompileCache(tmp_path)
+        tiers = Tiers(disk=disk, breaker=breaker)
+        key = CompileCache.key(make_request(), "advanced")
+        disk.put(key, make_result("advanced"))
+        breaker.record_failure()
+        assert tiers.lookup(key) == (None, None)  # open: skipped
+        now[0] = 2.0
+        assert tiers.lookup(key)[1] == "disk"  # half-open probe
+        assert breaker.state == "half_open"
+        assert tiers.lookup(key)[1] == "disk"
+        assert breaker.state == "closed"
+        assert tiers.disk_skipped.value == 1
+
+
+class TestWorkerEntryPoints:
+    def test_compile_job_matches_the_backend(self):
+        request = make_request()
+        assert execute.compile_job(("jw", request)) == get_backend("jw").compile(request)
+
+    def test_compute_fault_site_fires_before_compiling(self):
+        try:
+            with inject("compute=error:1.0") as plan:
+                with pytest.raises(TRANSIENT):
+                    execute.compile_job(("jw", make_request()))
+        finally:
+            deactivate()
+        assert plan.fired_total("compute") == 1
+
+    def test_traced_job_returns_the_result_and_its_spans(self):
+        request = make_request()
+        result, spans = execute.compile_job_traced(("jordan-wigner", request))
+        assert result == execute.compile_job(("jordan-wigner", request))
+        assert [span["name"] for span in spans] == ["compile.jordan-wigner"]
+
+    def test_cache_key_digest_is_stable_hex(self):
+        key = CompileCache.key(make_request(), "advanced")
+        digest = execute.cache_key_digest(key)
+        assert digest == execute.cache_key_digest(CompileCache.key(make_request(), "advanced"))
+        assert len(digest) == 64 and int(digest, 16) >= 0
+        assert digest != execute.cache_key_digest(CompileCache.key(make_request(1), "advanced"))
