@@ -11,9 +11,9 @@ Gaussian-integral engine optimize — and pins it in CI:
   :mod:`repro.optimizers.gtsp`.  The tours must be bit-identical per seed;
   the enforced floor is a >= 5x speedup.
 * ``end_to_end`` — ``compile_molecule_ansatz("LiH", n_terms=12)`` cold, with
-  the seed behavior reconstructed (integral caching disabled via
-  :func:`repro.chemistry.set_integral_caching`, the legacy GTSP solver
-  patched in) vs the optimized path.  The Table-I counts must match exactly;
+  the seed behavior reconstructed (the integral entry points bound to their
+  uncached references in :mod:`repro.chemistry.integrals`, the legacy GTSP
+  solver patched in) vs the optimized path.  The Table-I counts must match exactly;
   the enforced floor is a >= 3x speedup.
 * ``stage_times`` — per-stage wall times of the advanced Fig. 2 pipeline;
 * ``backends`` — per-backend compile wall times for H2 and LiH across
@@ -35,10 +35,11 @@ import json
 import platform
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+import repro.chemistry.integrals as integrals
 import repro.core.advanced_sorting as advanced_sorting
 from repro import compile_molecule_ansatz
 from repro.api import CompileRequest, CompilerConfig, DEFAULT_BACKEND_NAMES, get_backend
@@ -48,7 +49,6 @@ from repro.chemistry import (
     clear_scf_cache,
     make_molecule,
     run_rhf,
-    set_integral_caching,
 )
 from repro.core.advanced_sorting import build_sorting_problem
 from repro.core.pipeline import DEFAULT_STAGES, AdvancedPipeline
@@ -255,7 +255,7 @@ def legacy_problem_from(problem) -> LegacyGtspProblem:
         for vertex in cluster:
             row_of[vertex] = row
             row += 1
-    matrix = problem.matrix
+    matrix = problem.weight_matrix
 
     def weight(u, v):
         return float(matrix[row_of[u], row_of[v]])
@@ -273,6 +273,16 @@ def legacy_solve_adapter(problem, max_generations=None, **kwargs) -> GtspResult:
     if max_generations is not None:
         raise ValueError("the seed solve_gtsp has no generation budget")
     return legacy_solve_gtsp(legacy_problem_from(problem), **kwargs)
+
+
+#: The seed's integral path: each memoized/vectorized entry point of
+#: :mod:`repro.chemistry.integrals` and the uncached reference it replaced.
+SEED_INTEGRALS = {
+    "boys_function": integrals._boys_function_direct,
+    "hermite_expansion": integrals._hermite_expansion_direct,
+    "hermite_coulomb": integrals._hermite_coulomb_direct,
+    "electron_repulsion": integrals.electron_repulsion_scalar,
+}
 
 
 # ----------------------------------------------------------------------
@@ -357,15 +367,18 @@ def _cold_compile():
 
 def bench_end_to_end(repeats: int) -> Dict[str, object]:
     """Cold LiH/12 compile: reconstructed seed behavior vs the optimized path."""
-    set_integral_caching(False)
+    originals = {name: getattr(integrals, name) for name in SEED_INTEGRALS}
     original_solver = advanced_sorting.solve_gtsp
+    for name, reference in SEED_INTEGRALS.items():
+        setattr(integrals, name, reference)
     advanced_sorting.solve_gtsp = legacy_solve_adapter
     try:
         legacy_report = _cold_compile()
         legacy_s = best_of(repeats, _cold_compile)
     finally:
         advanced_sorting.solve_gtsp = original_solver
-        set_integral_caching(True)
+        for name, function in originals.items():
+            setattr(integrals, name, function)
 
     optimized_report = _cold_compile()
     optimized_s = best_of(repeats, _cold_compile)

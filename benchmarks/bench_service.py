@@ -200,8 +200,8 @@ async def bench_backpressure() -> dict:
             "max_queue": max_queue,
             "accepted": len(accepted),
             "rejected": rejected,
-            "rejections_counted": service.metrics.rejections,
-            "queue_depth_peak": service.metrics.queue_depth_peak,
+            "rejections_counted": service.metrics.rejections.value,
+            "queue_depth_peak": service.metrics.queue_depth.peak,
         }
 
 

@@ -14,6 +14,7 @@ This module holds the synchronous parts of that:
   key, so a fallback never poisons the failed primary's entry.  The journal
   ("this job is done") holds it under the job's *primary* key, so a resumed
   batch serves the same result instead of retrying the failed backend.
+  A result drawn under ``seed=None`` is filed in no tier at all.
 
 Journal and disk are both :class:`~repro.service.PersistentCompileCache`
 instances; a batch fills in memory and journal, the service memory and disk.
@@ -217,8 +218,15 @@ class Tiers:
         """Write ``result`` of the job keyed ``key`` to every tier.
 
         Memory and disk file it under the key of the backend that produced it
-        (``result.backend``); the journal under ``key`` itself.
+        (``result.backend``); the journal under ``key`` itself.  A result
+        that a config-reading backend drew under ``seed=None`` is filed
+        nowhere: the next compile of the same request may draw another
+        answer, so no tier may serve this one in its place.
         """
+        if request.config.seed is None and getattr(
+            get_backend(result.backend), "uses_config", True
+        ):
+            return
         own_key = key
         if result.backend != key[-1]:
             own_key = CompileCache.key(request, result.backend)

@@ -34,11 +34,7 @@ from repro.chemistry.hartree_fock import (
     molecule_fingerprint,
     run_rhf,
 )
-from repro.chemistry.integrals import (
-    clear_integral_caches,
-    set_integral_caching,
-    shell_pair_data,
-)
+from repro.chemistry.integrals import clear_integral_caches, shell_pair_data
 from repro.chemistry.molecules import (
     GEOMETRIES,
     ammonia_geometry,
@@ -68,7 +64,6 @@ __all__ = [
     "clear_scf_cache",
     "molecule_fingerprint",
     "clear_integral_caches",
-    "set_integral_caching",
     "shell_pair_data",
     "MolecularHamiltonian",
     "build_molecular_hamiltonian",

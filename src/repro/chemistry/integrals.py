@@ -21,17 +21,21 @@ path returns exactly the floats the direct recursion returns):
   ERI in one vectorized sweep over the ``(Ka, Kb, Kc, Kd)`` grid (the Hermite
   Coulomb recursion runs on whole quartet arrays) instead of one Python call
   per primitive quartet;
-* :func:`set_integral_caching` / :func:`clear_integral_caches` switch the
-  whole layer off (falling back to the seed's scalar recursion, used by the
-  ``benchmarks/bench_compile.py`` before/after comparison) and drop the
-  cached state.
+* :func:`clear_integral_caches` drops the cached state.
+
+The undecorated recursions (``_*_direct``) and
+:func:`electron_repulsion_scalar` stay as the reference this layer is tested
+against.  The recursions call each other through the module-level names, so
+binding :func:`boys_function`, :func:`hermite_expansion`,
+:func:`hermite_coulomb` and :func:`electron_repulsion` to the references
+rebuilds the seed's uncached path.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 from scipy.special import hyp1f1
@@ -39,30 +43,24 @@ from scipy.special import hyp1f1
 from repro.chemistry.basis import BasisFunction, Molecule
 from repro.obs.metrics import get_metrics
 
-#: Whether the memoization/vectorization layer is active (see
-#: :func:`set_integral_caching`).
-_CACHING_ENABLED = True
-
 #: Shell-pair cache traffic, in the global obs registry (cached objects:
 #: one attribute add per event, no registry lookup on the hot path).
 _PAIR_HITS = get_metrics().counter("chemistry.integrals.shell_pair.hits")
 _PAIR_MISSES = get_metrics().counter("chemistry.integrals.shell_pair.misses")
 
 
+@lru_cache(maxsize=1 << 18)
 def boys_function(n: int, x: float) -> float:
     """Boys function ``F_n(x)`` via the confluent hypergeometric function."""
-    if _CACHING_ENABLED:
-        return _boys_function_cached(n, x)
-    return _boys_function_direct(n, x)
-
-
-def _boys_function_direct(n: int, x: float) -> float:
     return float(hyp1f1(n + 0.5, n + 1.5, -x) / (2.0 * n + 1.0))
 
 
-_boys_function_cached = lru_cache(maxsize=1 << 18)(_boys_function_direct)
+_boys_function_direct = boys_function.__wrapped__
 
 
+# Bounded: keys contain continuous separations/exponents, so a geometry sweep
+# would otherwise grow the table without limit.
+@lru_cache(maxsize=1 << 20)
 def hermite_expansion(
     i: int, j: int, t: int, separation: float, alpha: float, beta: float
 ) -> float:
@@ -74,14 +72,6 @@ def hermite_expansion(
     it is memoized: one shell pair's coefficients are computed once and
     served from cache across the many integral quartets the pair appears in.
     """
-    if _CACHING_ENABLED:
-        return _hermite_expansion_cached(i, j, t, separation, alpha, beta)
-    return _hermite_expansion_direct(i, j, t, separation, alpha, beta)
-
-
-def _hermite_expansion_direct(
-    i: int, j: int, t: int, separation: float, alpha: float, beta: float
-) -> float:
     p = alpha + beta
     q = alpha * beta / p
     if t < 0 or t > i + j:
@@ -101,23 +91,14 @@ def _hermite_expansion_direct(
     )
 
 
-# Bounded: keys contain continuous separations/exponents, so a geometry sweep
-# would otherwise grow the table without limit.
-_hermite_expansion_cached = lru_cache(maxsize=1 << 20)(_hermite_expansion_direct)
+_hermite_expansion_direct = hermite_expansion.__wrapped__
 
 
+@lru_cache(maxsize=1 << 18)
 def hermite_coulomb(
     t: int, u: int, v: int, n: int, p: float, x: float, y: float, z: float, distance_sq: float
 ) -> float:
     """Hermite Coulomb auxiliary integral ``R^n_{tuv}``."""
-    if _CACHING_ENABLED:
-        return _hermite_coulomb_cached(t, u, v, n, p, x, y, z, distance_sq)
-    return _hermite_coulomb_direct(t, u, v, n, p, x, y, z, distance_sq)
-
-
-def _hermite_coulomb_direct(
-    t: int, u: int, v: int, n: int, p: float, x: float, y: float, z: float, distance_sq: float
-) -> float:
     if t < 0 or u < 0 or v < 0:
         return 0.0
     if t == u == v == 0:
@@ -141,7 +122,15 @@ def _hermite_coulomb_direct(
     return value
 
 
-_hermite_coulomb_cached = lru_cache(maxsize=1 << 18)(_hermite_coulomb_direct)
+_hermite_coulomb_direct = hermite_coulomb.__wrapped__
+
+#: The memos by cache-statistics name; held here so that rebinding the
+#: module-level kernel names (the seed path) never hides them.
+_MEMOS = (
+    ("boys", boys_function),
+    ("hermite_expansion", hermite_expansion),
+    ("hermite_coulomb", hermite_coulomb),
+)
 
 
 # ----------------------------------------------------------------------
@@ -210,10 +199,9 @@ def shell_pair_data(function_a: BasisFunction, function_b: BasisFunction) -> She
     if data is None:
         _PAIR_MISSES.inc()
         data = ShellPairData(function_a, function_b)
-        if _CACHING_ENABLED:
-            while len(_SHELL_PAIR_CACHE) >= _SHELL_PAIR_CACHE_MAX_ENTRIES:
-                _SHELL_PAIR_CACHE.pop(next(iter(_SHELL_PAIR_CACHE)))
-            _SHELL_PAIR_CACHE[key] = data
+        while len(_SHELL_PAIR_CACHE) >= _SHELL_PAIR_CACHE_MAX_ENTRIES:
+            _SHELL_PAIR_CACHE.pop(next(iter(_SHELL_PAIR_CACHE)))
+        _SHELL_PAIR_CACHE[key] = data
     else:
         _PAIR_HITS.inc()
     return data
@@ -221,9 +209,8 @@ def shell_pair_data(function_a: BasisFunction, function_b: BasisFunction) -> She
 
 def clear_integral_caches() -> None:
     """Drop every memoized integral quantity (Hermite, Boys, shell pairs)."""
-    _hermite_expansion_cached.cache_clear()
-    _hermite_coulomb_cached.cache_clear()
-    _boys_function_cached.cache_clear()
+    for _, memo in _MEMOS:
+        memo.cache_clear()
     _SHELL_PAIR_CACHE.clear()
 
 
@@ -235,12 +222,8 @@ def integral_cache_stats() -> Dict[str, int]:
     cache versus recomputed.
     """
     stats: Dict[str, int] = {}
-    for name, cached in (
-        ("boys", _boys_function_cached),
-        ("hermite_expansion", _hermite_expansion_cached),
-        ("hermite_coulomb", _hermite_coulomb_cached),
-    ):
-        info = cached.cache_info()
+    for name, memo in _MEMOS:
+        info = memo.cache_info()
         stats[f"{name}.hits"] = info.hits
         stats[f"{name}.misses"] = info.misses
         stats[f"{name}.size"] = info.currsize
@@ -248,22 +231,6 @@ def integral_cache_stats() -> Dict[str, int]:
     stats["shell_pair.misses"] = _PAIR_MISSES.value
     stats["shell_pair.size"] = len(_SHELL_PAIR_CACHE)
     return stats
-
-
-def set_integral_caching(enabled: bool) -> bool:
-    """Enable/disable the caching + vectorization layer; returns the old flag.
-
-    Disabling clears every cache and routes :func:`hermite_expansion`,
-    :func:`boys_function`, :func:`hermite_coulomb` and
-    :func:`electron_repulsion` through the direct scalar recursion — the
-    seed-era behavior the compile benchmark measures as its "before" state.
-    Both modes produce bit-identical integrals.
-    """
-    global _CACHING_ENABLED
-    previous = _CACHING_ENABLED
-    _CACHING_ENABLED = bool(enabled)
-    clear_integral_caches()
-    return previous
 
 
 # ----------------------------------------------------------------------
@@ -473,8 +440,8 @@ def electron_repulsion_scalar(
 ) -> float:
     """Contracted ``(ab|cd)`` via one Python call per primitive quartet.
 
-    The seed implementation, kept as the reference the vectorized path is
-    differential-tested against (and as the "before" half of the compile
+    The seed implementation, kept as the reference :func:`electron_repulsion`
+    is differential-tested against (and as the "before" half of the compile
     benchmark).
     """
     total = 0.0
@@ -556,13 +523,15 @@ def _grid_coulomb(grid: _CoulombGrid, t: int, u: int, v: int, n: int):
     return value
 
 
-def _electron_repulsion_vectorized(
+def electron_repulsion(
     function_a: BasisFunction,
     function_b: BasisFunction,
     function_c: BasisFunction,
     function_d: BasisFunction,
 ) -> float:
-    """Contracted ``(ab|cd)`` over the whole primitive-quartet grid at once.
+    """Contracted two-electron integral ``(ab|cd)`` in chemists' notation.
+
+    Evaluated over the whole primitive-quartet grid at once.
 
     All per-quartet composite quantities and the Hermite Coulomb recursion are
     evaluated on ``(Ka, Kb, Kc, Kd)`` numpy arrays.  Every elementwise
@@ -633,20 +602,6 @@ def _electron_repulsion_vectorized(
     for contribution in contributions.ravel().tolist():
         total += contribution
     return total
-
-
-def electron_repulsion(
-    function_a: BasisFunction,
-    function_b: BasisFunction,
-    function_c: BasisFunction,
-    function_d: BasisFunction,
-) -> float:
-    """Contracted two-electron integral ``(ab|cd)`` in chemists' notation."""
-    if _CACHING_ENABLED:
-        return _electron_repulsion_vectorized(
-            function_a, function_b, function_c, function_d
-        )
-    return electron_repulsion_scalar(function_a, function_b, function_c, function_d)
 
 
 # ----------------------------------------------------------------------

@@ -20,9 +20,6 @@ from repro.circuits.gates import (
     Gate,
     cnot,
     hadamard,
-    pauli_x,
-    pauli_y,
-    pauli_z,
     rx,
     ry,
     rz,
@@ -61,9 +58,6 @@ __all__ = [
     "Gate",
     "cnot",
     "hadamard",
-    "pauli_x",
-    "pauli_y",
-    "pauli_z",
     "rx",
     "ry",
     "rz",

@@ -398,7 +398,3 @@ def _apply_matrix_to_tensor(
             permutation.append(next(rest))
     return np.transpose(tensor, permutation)
 
-
-def _apply_gate_to_tensor(state: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarray:
-    """Apply a gate to a state stored as an n-dimensional tensor of shape (2,)*n."""
-    return _apply_matrix_to_tensor(state, gate.matrix(), gate.qubits, n_qubits)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
@@ -248,18 +248,6 @@ def cnot(control: int, target: int) -> Gate:
 
 def hadamard(qubit: int) -> Gate:
     return Gate("H", (qubit,))
-
-
-def pauli_x(qubit: int) -> Gate:
-    return Gate("X", (qubit,))
-
-
-def pauli_y(qubit: int) -> Gate:
-    return Gate("Y", (qubit,))
-
-
-def pauli_z(qubit: int) -> Gate:
-    return Gate("Z", (qubit,))
 
 
 def s_gate(qubit: int) -> Gate:

@@ -18,11 +18,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuits import (
-    best_sequence_from_cycle,
-    interface_cnot_reduction,
-    sequence_cnot_count,
-)
+from repro.circuits import interface_cnot_reduction, sequence_cnot_count
 from repro.core.terms_to_paulis import PauliRotation
 from repro.hardware.topology import Topology
 from repro.operators import (
@@ -117,14 +113,12 @@ def build_sorting_problem(
 ) -> GtspProblem:
     """Build the GTSP instance of Sec. III-B for a list of Pauli rotations.
 
-    The edge weights are served from one precomputed pairwise matrix, so the
-    genetic algorithm's many repeated weight queries cost a dictionary lookup
-    each instead of a per-qubit scan.  Without a topology the weight is minus
-    the interface saving (the paper's objective); with one it is the
-    distance-weighted cost matrix
-    (:func:`repro.operators.distance_weighted_cost_matrix`), which folds the
-    per-target steered ladder cost into the incoming edge so target choices
-    trade connectivity against cancellation.
+    The edge weights are one dense matrix over every ``(rotation, target)``
+    vertex, built from the :func:`vertex_savings` scan.  Without a topology
+    entry ``[a, b]`` is minus the interface saving of ``b`` after ``a`` (the
+    paper's objective).  With one it is ``b``'s steered ladder cost on the
+    device (:func:`repro.operators.routed_vertex_cost_vector`) minus that
+    saving, so target choices trade connectivity against cancellation.
     """
     rotations = list(rotations)
     if not rotations:
@@ -269,7 +263,7 @@ def advanced_sort(
     # with the least saving.
     n = len(solution.tour)
     rows = problem._tour_rows(solution.tour)
-    cut_scores = (-problem.matrix[rows, rows[1:] + rows[:1]]).tolist()
+    cut_scores = (-problem.weight_matrix[rows, rows[1:] + rows[:1]]).tolist()
     # Builtin min on the small Python list; ties resolve to the first minimum
     # exactly as argmin did.
     cut = min(range(n), key=cut_scores.__getitem__)

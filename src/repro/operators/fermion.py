@@ -20,7 +20,7 @@ Example
 from __future__ import annotations
 
 import numbers
-from typing import Dict, Iterable, Iterator, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Tuple
 
 #: A single ladder operator: ``(orbital_index, is_creation)``.
 LadderOperator = Tuple[int, bool]
@@ -346,7 +346,3 @@ def normal_ordered(operator: FermionOperator) -> FermionOperator:
     """Module-level convenience wrapper around :meth:`FermionOperator.normal_ordered`."""
     return operator.normal_ordered()
 
-
-def hermitian_conjugated(operator: FermionOperator) -> FermionOperator:
-    """Module-level convenience wrapper around :meth:`FermionOperator.hermitian_conjugate`."""
-    return operator.hermitian_conjugate()

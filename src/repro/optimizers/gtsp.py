@@ -10,15 +10,13 @@ the cluster permutation, per-cluster vertex reassignment and swap mutations,
 and an exact dynamic-programming "cluster optimization" step that, for a
 fixed cluster order, picks the best vertex inside every cluster.
 
-Edge weights are served from one dense ``(n_vertices, n_vertices)`` float64
-matrix indexed by a global vertex row (clusters flattened in order).  Callers
-that already own such a matrix — the advanced sorting builds one batched
-symplectic scan — pass it as ``weight_matrix`` and skip every per-edge Python
-call; the legacy scalar ``weight(u, v)`` callable remains supported and is
-densified lazily on first use.  Every matrix kernel reproduces the scalar
-implementation bit-for-bit: candidate costs are single additions of the same
-float64 pairs, reductions take the first minimum exactly like ``np.argmin``
-on a list did, and tour costs accumulate left-to-right in tour order.
+Edge weights come from one dense ``(n_vertices, n_vertices)`` float64
+matrix indexed by a global vertex row (clusters flattened in order); the
+advanced sorting builds it in one batched symplectic scan.  Every kernel
+reproduces the per-edge scalar dynamic program bit-for-bit: candidate costs
+are single additions of the same float64 pairs, reductions take the first
+minimum exactly like ``np.argmin`` on a list did, and tour costs accumulate
+left-to-right in tour order.
 
 The sorting GTSP has more structure than that, and when a problem's matrix
 shows it the cluster optimisation uses a faster exact kernel.  Every weight
@@ -50,7 +48,7 @@ float DP and the per-chromosome float costs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,21 +66,16 @@ class GtspProblem:
     clusters:
         Non-empty list of non-empty vertex lists; exactly one vertex per
         cluster is visited.
-    weight:
-        Edge cost ``weight(u, v)`` between two vertices from *different*
-        clusters.  The tour cost is the sum of consecutive edge costs around
-        the closed cycle; the solver minimizes it.  Optional when
-        ``weight_matrix`` is given (a compatible shim is synthesized).
     weight_matrix:
         Dense edge-cost matrix indexed by global vertex rows, clusters
-        flattened in order (cluster 0's vertices first).  When omitted it is
-        built lazily from ``weight`` — once per problem, not once per query.
+        flattened in order (cluster 0's vertices first).  Entry ``[u, v]``
+        is the cost of the edge from row ``u`` to row ``v`` of a different
+        cluster.  The tour cost is the sum of consecutive edge costs around
+        the closed cycle; the solver minimizes it.
     """
 
     clusters: Sequence[Sequence[Vertex]]
-    weight: Optional[Callable[[Vertex, Vertex], float]] = None
-    weight_matrix: Optional[np.ndarray] = None
-    _matrix: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    weight_matrix: np.ndarray
     _matrix_rows: Optional[List[List[float]]] = field(
         default=None, init=False, repr=False
     )
@@ -101,10 +94,7 @@ class GtspProblem:
             raise ValueError("GTSP instance needs at least one cluster")
         if any(len(cluster) == 0 for cluster in self.clusters):
             raise ValueError("every cluster must contain at least one vertex")
-        if self.weight is None and self.weight_matrix is None:
-            raise ValueError("provide a weight callable or a weight_matrix")
 
-        self._vertices: List[Vertex] = []
         self._cluster_rows = []
         self._row_in_cluster = []
         row = 0
@@ -113,22 +103,18 @@ class GtspProblem:
             self._row_in_cluster.append(
                 {vertex: row + position for position, vertex in enumerate(cluster)}
             )
-            self._vertices.extend(cluster)
             row += len(cluster)
 
-        if self.weight_matrix is not None:
-            # Copy on ingest: the row-list/block caches snapshot the matrix,
-            # so aliasing the caller's array would let later in-place
-            # mutation desynchronize them.
-            matrix = np.array(self.weight_matrix, dtype=np.float64)
-            if matrix.shape != (row, row):
-                raise ValueError(
-                    f"weight_matrix must be ({row}, {row}) for {row} vertices, "
-                    f"got {matrix.shape}"
-                )
-            self._matrix = matrix
-            if self.weight is None:
-                self.weight = _matrix_weight(matrix, self._row_in_cluster)
+        # Copy on ingest: the row-list/block caches snapshot the matrix, so
+        # aliasing the caller's array would let later in-place mutation
+        # desynchronize them.
+        matrix = np.array(self.weight_matrix, dtype=np.float64)
+        if matrix.shape != (row, row):
+            raise ValueError(
+                f"weight_matrix must be ({row}, {row}) for {row} vertices, "
+                f"got {matrix.shape}"
+            )
+        self.weight_matrix = matrix
 
     @property
     def n_clusters(self) -> int:
@@ -148,30 +134,13 @@ class GtspProblem:
 
     @property
     def n_vertices(self) -> int:
-        return len(self._vertices)
-
-    def _row_of(self, vertex: Vertex) -> int:
-        return _find_row(self._row_in_cluster, vertex)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense float64 weight matrix (built from ``weight`` on first use)."""
-        if self._matrix is None:
-            n = self.n_vertices
-            matrix = np.empty((n, n), dtype=np.float64)
-            weight = self.weight
-            for i, u in enumerate(self._vertices):
-                row = matrix[i]
-                for j, v in enumerate(self._vertices):
-                    row[j] = float(weight(u, v))
-            self._matrix = matrix
-        return self._matrix
+        return len(self.weight_matrix)
 
     @property
     def _row_lists(self) -> List[List[float]]:
         """The weight matrix as nested Python lists (fast small-tour gathers)."""
         if self._matrix_rows is None:
-            self._matrix_rows = self.matrix.tolist()
+            self._matrix_rows = self.weight_matrix.tolist()
         return self._matrix_rows
 
     def _block(self, cluster_a: int, cluster_b: int) -> np.ndarray:
@@ -184,7 +153,7 @@ class GtspProblem:
         key = (cluster_a, cluster_b)
         block = self._blocks.get(key)
         if block is None:
-            block = self.matrix[
+            block = self.weight_matrix[
                 np.ix_(self._cluster_rows[cluster_a], self._cluster_rows[cluster_b])
             ]
             self._blocks[key] = block
@@ -192,38 +161,25 @@ class GtspProblem:
 
     def tour_cost(self, tour: Sequence[Tuple[int, Vertex]]) -> float:
         """Cost of the closed tour (single-cluster tours cost zero)."""
-        if len(tour) != self.n_clusters:
-            raise ValueError("tour must visit every cluster exactly once")
         if sorted(c for c, _ in tour) != list(range(self.n_clusters)):
             raise ValueError("tour must visit every cluster exactly once")
-        if len(tour) <= 1:
-            return 0.0
-        rows = self._tour_rows(tour)
-        if rows is not None:
-            return self._rows_cost(rows)
-        # Vertices outside their declared cluster: legacy scalar fallback.
-        cost = 0.0
-        for (_, u), (_, v) in zip(tour, list(tour[1:]) + [tour[0]]):
-            cost += float(self.weight(u, v))
-        return cost
+        return self._rows_cost(self._tour_rows(tour))
 
-    def _tour_rows(self, tour: Sequence[Tuple[int, Vertex]]) -> Optional[List[int]]:
-        """Global rows of a ``(cluster, vertex)`` tour, or None on foreign vertices."""
+    def _tour_rows(self, tour: Sequence[Tuple[int, Vertex]]) -> List[int]:
+        """Global rows of a ``(cluster, vertex)`` tour."""
         rows: List[int] = []
         for cluster, vertex in tour:
             row = self._row_in_cluster[cluster].get(vertex)
             if row is None:
-                return None
+                raise ValueError(f"vertex {vertex!r} is not in cluster {cluster}")
             rows.append(row)
         return rows
 
     def _rows_cost(self, rows: Sequence[int]) -> float:
         """Closed-cycle cost of a tour given as global vertex rows.
 
-        Row-indexed gathers from the densified matrix instead of one
-        ``weight`` call per edge; the edge costs are accumulated
-        left-to-right in tour order, so the result is bit-identical to the
-        scalar loop.
+        The edge costs are accumulated left-to-right in tour order, so the
+        result is bit-identical to a per-edge scalar loop.
         """
         if len(rows) <= 1:
             return 0.0
@@ -235,30 +191,6 @@ class GtspProblem:
             previous = current
         cost += row_lists[previous][rows[0]]
         return cost
-
-
-def _find_row(row_in_cluster: List[Dict[Vertex, int]], vertex: Vertex) -> int:
-    for mapping in row_in_cluster:
-        row = mapping.get(vertex)
-        if row is not None:
-            return row
-    raise KeyError(f"vertex {vertex!r} is not part of this problem")
-
-
-def _matrix_weight(
-    matrix: np.ndarray, row_in_cluster: List[Dict[Vertex, int]]
-) -> Callable[[Vertex, Vertex], float]:
-    """Scalar ``weight(u, v)`` compatibility shim over a dense matrix.
-
-    It closes over the matrix and the row maps, not over the problem: a
-    bound method stored on the problem would make a reference cycle, and the
-    problem with its matrices would then wait for a full garbage collection.
-    """
-
-    def weight(u: Vertex, v: Vertex) -> float:
-        return float(matrix[_find_row(row_in_cluster, u), _find_row(row_in_cluster, v)])
-
-    return weight
 
 
 #: Packed cost of padding and of absent same-target vertices: far above any
@@ -291,7 +223,7 @@ class _TargetStructure:
         n_clusters = problem.n_clusters
         if n_clusters < 2:
             return None
-        matrix = problem.matrix
+        matrix = problem.weight_matrix
         if not np.all(np.isfinite(matrix)) or not np.array_equal(matrix, np.rint(matrix)):
             return None
         n = problem.n_vertices
@@ -369,7 +301,7 @@ class _Chromosome:
         return [cluster_rows[c][choices[c]] for c in self.order]
 
     def cost(self, problem: GtspProblem) -> float:
-        """Closed-tour cost via the dense matrix (no per-edge ``weight`` calls)."""
+        """Closed-tour cost, read from the weight matrix."""
         return problem._rows_cost(self.rows(problem))
 
 

@@ -33,7 +33,7 @@ from repro.service.cache import (
     PersistentCompileCache,
     golden_version_stamp,
 )
-from repro.service.metrics import TIERS, LatencyHistogram, ServiceMetrics
+from repro.service.metrics import TIERS, ServiceMetrics
 from repro.service.resilience import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -64,7 +64,6 @@ __all__ = [
     "JobState",
     "JobStatus",
     "JobTimedOut",
-    "LatencyHistogram",
     "PersistentCompileCache",
     "RetryPolicy",
     "ServiceDrainingError",

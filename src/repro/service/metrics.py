@@ -16,13 +16,15 @@
 * **latency histograms** — ``wait`` (submit → worker pickup), ``compute``
   (backend compile only) and ``total`` (submit → result) with p50/p95/p99.
 
-Since the ``repro.obs`` layer landed, everything here is built on its shared
-primitives: the counters are :class:`~repro.obs.metrics.Counter`, the queue
-gauge is a :class:`~repro.obs.metrics.Gauge`, and the latency histograms are
-bounded :class:`~repro.obs.metrics.Histogram` objects (so a long-running
-service no longer grows sample memory without bound — see
-``DEFAULT_MAX_SAMPLES`` / reservoir sampling in :mod:`repro.obs.metrics`).
-:class:`LatencyHistogram` is re-exported from there for compatibility.
+Every field is one of the shared :mod:`repro.obs.metrics` primitives, held
+as a public attribute: counters are :class:`~repro.obs.metrics.Counter`
+(write ``.inc()``, read ``.value``), the queue depth and breaker state are
+:class:`~repro.obs.metrics.Gauge` (write ``.set()``, read ``.value`` and
+``.peak``), and the latency histograms are bounded
+:class:`~repro.obs.metrics.Histogram` objects (reservoir-sampled, see
+``DEFAULT_MAX_SAMPLES``), so a long-running service keeps sample memory
+bounded.  The service's :class:`~repro.api.execute.Tiers` chain counts disk
+faults and breaker skips straight into ``disk_faults`` / ``disk_degraded``.
 
 Everything is plain-Python and JSON-serializable via :meth:`snapshot`, which
 is what ``benchmarks/bench_service.py`` dumps into ``BENCH_service.json``.
@@ -32,9 +34,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.obs.metrics import Counter, Gauge, LatencyHistogram, MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 
-__all__ = ["TIERS", "LatencyHistogram", "ServiceMetrics"]
+__all__ = ["TIERS", "ServiceMetrics"]
 
 #: The lookup tiers a finished job can be served from.
 TIERS = ("memory", "disk", "compute", "dedup")
@@ -50,168 +52,40 @@ class ServiceMetrics:
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.registry = registry if registry is not None else MetricsRegistry()
+        counter, gauge = self.registry.counter, self.registry.gauge
         self._tier_counters: Dict[str, Counter] = {
-            tier: self.registry.counter(f"service.tier.{tier}") for tier in TIERS
+            tier: counter(f"service.tier.{tier}") for tier in TIERS
         }
-        self._submitted = self.registry.counter("service.submitted")
-        self._failures = self.registry.counter("service.failures")
-        self._cancellations = self.registry.counter("service.cancellations")
-        self._rejections = self.registry.counter("service.rejections")
-        self._timeouts = self.registry.counter("service.timeouts")
-        self._retries = self.registry.counter("service.retries")
-        self._abandonments = self.registry.counter("service.abandonments")
-        self._worker_crashes = self.registry.counter("service.worker_crashes")
-        self._fallbacks = self.registry.counter("service.fallbacks")
-        self._disk_faults = self.registry.counter("service.disk_faults")
-        self._disk_degraded = self.registry.counter("service.disk_degraded")
-        self._breaker_opens = self.registry.counter("service.breaker.opens")
-        self._breaker_closes = self.registry.counter("service.breaker.closes")
-        self._breaker_state = self.registry.gauge("service.breaker.state")
-        self._queue = self.registry.gauge("service.queue_depth")
+        self.submitted = counter("service.submitted")
+        self.failures = counter("service.failures")
+        self.cancellations = counter("service.cancellations")
+        self.rejections = counter("service.rejections")
+        self.timeouts = counter("service.timeouts")
+        self.retries = counter("service.retries")
+        self.abandonments = counter("service.abandonments")
+        self.worker_crashes = counter("service.worker_crashes")
+        #: Jobs completed by a fallback backend after their own failed.
+        self.fallbacks = counter("service.fallbacks")
+        self.disk_faults = counter("service.disk_faults")
+        self.disk_degraded = counter("service.disk_degraded")
+        self.breaker_opens = counter("service.breaker.opens")
+        self.breaker_closes = counter("service.breaker.closes")
+        #: Disk-breaker state code: 0 closed, 1 half-open, 2 open.
+        self.breaker_state = gauge("service.breaker.state")
+        self.queue_depth = gauge("service.queue_depth")
         self.wait = self.registry.histogram("service.latency.wait")
         self.compute = self.registry.histogram("service.latency.compute")
         self.total = self.registry.histogram("service.latency.total")
 
-    # ------------------------------------------------------------------
-    # Counter views (attribute-compatible with the pre-obs implementation:
-    # `metrics.submitted += 1` still works through the property setters)
-    # ------------------------------------------------------------------
     @property
     def tier_counts(self) -> Dict[str, int]:
         return {tier: counter.value for tier, counter in self._tier_counters.items()}
 
-    @property
-    def submitted(self) -> int:
-        return self._submitted.value
-
-    @submitted.setter
-    def submitted(self, value: int) -> None:
-        self._submitted.value = value
-
-    @property
-    def failures(self) -> int:
-        return self._failures.value
-
-    @failures.setter
-    def failures(self, value: int) -> None:
-        self._failures.value = value
-
-    @property
-    def cancellations(self) -> int:
-        return self._cancellations.value
-
-    @cancellations.setter
-    def cancellations(self, value: int) -> None:
-        self._cancellations.value = value
-
-    @property
-    def rejections(self) -> int:
-        return self._rejections.value
-
-    @rejections.setter
-    def rejections(self, value: int) -> None:
-        self._rejections.value = value
-
-    @property
-    def timeouts(self) -> int:
-        return self._timeouts.value
-
-    @timeouts.setter
-    def timeouts(self, value: int) -> None:
-        self._timeouts.value = value
-
-    @property
-    def retries(self) -> int:
-        return self._retries.value
-
-    @retries.setter
-    def retries(self, value: int) -> None:
-        self._retries.value = value
-
-    @property
-    def abandonments(self) -> int:
-        return self._abandonments.value
-
-    @abandonments.setter
-    def abandonments(self, value: int) -> None:
-        self._abandonments.value = value
-
-    @property
-    def worker_crashes(self) -> int:
-        return self._worker_crashes.value
-
-    @worker_crashes.setter
-    def worker_crashes(self, value: int) -> None:
-        self._worker_crashes.value = value
-
-    @property
-    def fallbacks(self) -> int:
-        """Jobs completed by a fallback backend after their own failed."""
-        return self._fallbacks.value
-
-    @fallbacks.setter
-    def fallbacks(self, value: int) -> None:
-        self._fallbacks.value = value
-
-    @property
-    def disk_faults(self) -> int:
-        return self._disk_faults.value
-
-    @disk_faults.setter
-    def disk_faults(self, value: int) -> None:
-        self._disk_faults.value = value
-
-    @property
-    def disk_degraded(self) -> int:
-        return self._disk_degraded.value
-
-    @disk_degraded.setter
-    def disk_degraded(self, value: int) -> None:
-        self._disk_degraded.value = value
-
-    @property
-    def breaker_opens(self) -> int:
-        return self._breaker_opens.value
-
-    @breaker_opens.setter
-    def breaker_opens(self, value: int) -> None:
-        self._breaker_opens.value = value
-
-    @property
-    def breaker_closes(self) -> int:
-        return self._breaker_closes.value
-
-    @breaker_closes.setter
-    def breaker_closes(self, value: int) -> None:
-        self._breaker_closes.value = value
-
-    @property
-    def breaker_state(self) -> int:
-        """Disk-breaker state code: 0 closed, 1 half-open, 2 open."""
-        return self._breaker_state.value
-
-    def record_breaker_state(self, code: int) -> None:
-        self._breaker_state.set(code)
-
-    @property
-    def queue_depth(self) -> int:
-        return self._queue.value
-
-    @property
-    def queue_depth_peak(self) -> int:
-        return self._queue.peak
-
-    # ------------------------------------------------------------------
-    # Recording
-    # ------------------------------------------------------------------
     def count_tier(self, tier: str) -> None:
         counter = self._tier_counters.get(tier)
         if counter is None:
             raise ValueError(f"unknown tier {tier!r}; expected one of {TIERS}")
         counter.inc()
-
-    def record_queue_depth(self, depth: int) -> None:
-        self._queue.set(depth)
 
     # ------------------------------------------------------------------
     # Derived rates
@@ -244,29 +118,29 @@ class ServiceMetrics:
     def snapshot(self) -> Dict:
         """One JSON-serializable dict of everything above."""
         return {
-            "submitted": self.submitted,
+            "submitted": self.submitted.value,
             "served": self.served,
             "tiers": self.tier_counts,
             "hit_rates": {
                 tier: round(self.hit_rate(tier), 6) for tier in TIERS
             },
             "cache_hit_rate": round(self.cache_hit_rate, 6),
-            "failures": self.failures,
-            "cancellations": self.cancellations,
-            "rejections": self.rejections,
-            "queue_depth": self.queue_depth,
-            "queue_depth_peak": self.queue_depth_peak,
+            "failures": self.failures.value,
+            "cancellations": self.cancellations.value,
+            "rejections": self.rejections.value,
+            "queue_depth": self.queue_depth.value,
+            "queue_depth_peak": self.queue_depth.peak,
             "resilience": {
-                "timeouts": self.timeouts,
-                "retries": self.retries,
-                "abandonments": self.abandonments,
-                "worker_crashes": self.worker_crashes,
-                "fallbacks": self.fallbacks,
-                "disk_faults": self.disk_faults,
-                "disk_degraded": self.disk_degraded,
-                "breaker_opens": self.breaker_opens,
-                "breaker_closes": self.breaker_closes,
-                "breaker_state": self.breaker_state,
+                "timeouts": self.timeouts.value,
+                "retries": self.retries.value,
+                "abandonments": self.abandonments.value,
+                "worker_crashes": self.worker_crashes.value,
+                "fallbacks": self.fallbacks.value,
+                "disk_faults": self.disk_faults.value,
+                "disk_degraded": self.disk_degraded.value,
+                "breaker_opens": self.breaker_opens.value,
+                "breaker_closes": self.breaker_closes.value,
+                "breaker_state": self.breaker_state.value,
             },
             "latency": {
                 "wait": self.wait.summary(),

@@ -300,13 +300,13 @@ class CompileService:
             self.breaker = CircuitBreaker()
         if self.breaker is not None:
             self._chain_breaker_callback(self.breaker)
-            self.metrics.record_breaker_state(self.breaker.state_code)
+            self.metrics.breaker_state.set(self.breaker.state_code)
         self.tiers = Tiers(
             memory=self.memory_cache,
             disk=disk_cache,
             breaker=self.breaker,
-            disk_faults=self.metrics.registry.counter("service.disk_faults"),
-            disk_skipped=self.metrics.registry.counter("service.disk_degraded"),
+            disk_faults=self.metrics.disk_faults,
+            disk_skipped=self.metrics.disk_degraded,
         )
         self.default_deadline_s = default_deadline_s
         if isinstance(fallback, str):
@@ -435,7 +435,7 @@ class CompileService:
         try:
             self._queue.put_nowait((priority, next(self._order), job))
         except asyncio.QueueFull:
-            self.metrics.rejections += 1
+            self.metrics.rejections.inc()
             raise ServiceOverloadedError(
                 f"compile queue is full ({self._max_queue} jobs); "
                 "retry after in-flight work drains",
@@ -443,7 +443,7 @@ class CompileService:
             ) from None
         self._inflight[key] = job
         self._register(job, loop)
-        self.metrics.record_queue_depth(self._queue.qsize())
+        self.metrics.queue_depth.set(self._queue.qsize())
         return job_id
 
     def _register(self, job: _Job, loop: asyncio.AbstractEventLoop) -> None:
@@ -455,7 +455,7 @@ class CompileService:
         job.future.add_done_callback(
             lambda f: None if f.cancelled() else f.exception()
         )
-        self.metrics.submitted += 1
+        self.metrics.submitted.inc()
         deadline = job.deadline_s if job.deadline_s is not None else self.default_deadline_s
         if deadline is not None:
             job.deadline_s = deadline
@@ -495,7 +495,7 @@ class CompileService:
         job.finished_at = time.perf_counter()
         self._cancel_deadline(job)
         job.future.cancel()
-        self.metrics.cancellations += 1
+        self.metrics.cancellations.inc()
         self._maybe_abandon(job.primary)
         return True
 
@@ -569,7 +569,7 @@ class CompileService:
         job.error = repr(exc)
         job.finished_at = time.perf_counter()
         job.future.set_exception(exc)
-        self.metrics.timeouts += 1
+        self.metrics.timeouts.inc()
         self.metrics.total.record(job.finished_at - job.submitted_at)
         self._maybe_abandon(job.primary)
 
@@ -581,7 +581,7 @@ class CompileService:
         if exec_future is not None and not exec_future.done():
             primary.abandon_requested = True
             exec_future.cancel()
-            self.metrics.abandonments += 1
+            self.metrics.abandonments.inc()
         # A still-queued group is skipped (and counted) at dequeue time.
 
     # ------------------------------------------------------------------
@@ -612,7 +612,7 @@ class CompileService:
         budget = self.retry_policy.budget
         if budget is None:
             return None
-        return max(0, budget - self.metrics.retries)
+        return max(0, budget - self.metrics.retries.value)
 
     # ------------------------------------------------------------------
     # Disk circuit breaker telemetry
@@ -621,11 +621,11 @@ class CompileService:
         existing = breaker.on_transition
 
         def on_transition(old_state: str, new_state: str) -> None:
-            self.metrics.record_breaker_state(breaker.state_code)
+            self.metrics.breaker_state.set(breaker.state_code)
             if new_state == BREAKER_OPEN:
-                self.metrics.breaker_opens += 1
+                self.metrics.breaker_opens.inc()
             elif new_state == BREAKER_CLOSED:
-                self.metrics.breaker_closes += 1
+                self.metrics.breaker_closes.inc()
             # Zero-length marker span: transitions are events, not intervals.
             with get_tracer().span(
                 "service.breaker", from_state=old_state, to_state=new_state
@@ -674,7 +674,7 @@ class CompileService:
         try:
             raw = await exec_future
         except BrokenExecutor as exc:
-            self.metrics.worker_crashes += 1
+            self.metrics.worker_crashes.inc()
             self._replenish_executor(executor)
             raise WorkerCrashed(
                 f"executor worker died while compiling job {job.job_id}"
@@ -709,7 +709,7 @@ class CompileService:
                 raise
             except Exception as exc:
                 attempt += 1
-                budget_left = policy.budget is None or self.metrics.retries < policy.budget
+                budget_left = policy.budget is None or self.metrics.retries.value < policy.budget
                 if (
                     not policy.is_retryable(exc)
                     or not budget_left
@@ -718,7 +718,7 @@ class CompileService:
                 ):
                     raise
                 delay = policy.delay_s(attempt - 1, token)
-                self.metrics.retries += 1
+                self.metrics.retries.inc()
                 with tracer.span(
                     "service.retry",
                     job_id=job.job_id,
@@ -762,7 +762,7 @@ class CompileService:
                         except Exception as fb_exc:
                             fb_span.set_attribute("error", type(fb_exc).__name__)
                             continue
-                self.metrics.fallbacks += 1
+                self.metrics.fallbacks.inc()
                 return result, tier, fb_name
             raise exc
 
@@ -773,7 +773,7 @@ class CompileService:
                 await self._process(job)
             finally:
                 self._queue.task_done()
-                self.metrics.record_queue_depth(self._queue.qsize())
+                self.metrics.queue_depth.set(self._queue.qsize())
 
     async def _process(self, job: _Job) -> None:
         if job.abandoned:
@@ -784,7 +784,7 @@ class CompileService:
             for submitter in job.group:
                 if submitter.finished_at is None:
                     submitter.finished_at = finished
-            self.metrics.abandonments += 1
+            self.metrics.abandonments.inc()
             return
         job.started_at = time.perf_counter()
         self.metrics.wait.record(job.started_at - job.submitted_at)
@@ -837,4 +837,4 @@ class CompileService:
         if error is not None:
             if job.error is None:
                 job.error = repr(error)
-            self.metrics.failures += 1
+            self.metrics.failures.inc()

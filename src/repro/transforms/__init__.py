@@ -5,7 +5,7 @@ Exports the Jordan-Wigner, Bravyi-Kitaev, parity and generalized
 built from.
 """
 
-from repro.transforms.base import FermionQubitTransform, relabel_modes
+from repro.transforms.base import FermionQubitTransform
 from repro.transforms.binary import (
     block_diagonal,
     bravyi_kitaev_matrix,
@@ -44,7 +44,6 @@ from repro.transforms.linear_encoding import (
 
 __all__ = [
     "FermionQubitTransform",
-    "relabel_modes",
     "JordanWignerTransform",
     "jordan_wigner",
     "LinearEncodingTransform",

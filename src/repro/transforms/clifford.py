@@ -14,37 +14,14 @@ from typing import Sequence, Tuple
 from repro.operators import PauliString, QubitOperator
 from repro.transforms.binary import CnotPair
 
-#: Conjugation table for a single CNOT: (control_label, target_label) ->
-#: (sign, new_control_label, new_target_label).  Derived from the generator
-#: images X_c -> X_c X_t, Z_c -> Z_c, X_t -> X_t, Z_t -> Z_c Z_t.  Kept for
-#: reference/tests; the functions below evaluate the equivalent symplectic
-#: update (x_t ^= x_c, z_c ^= z_t, sign flip iff x_c z_t (x_t ⊕ z_c ⊕ 1))
-#: directly on the packed bit-masks.
-_CNOT_CONJUGATION = {
-    ("I", "I"): (1, "I", "I"),
-    ("I", "X"): (1, "I", "X"),
-    ("I", "Y"): (1, "Z", "Y"),
-    ("I", "Z"): (1, "Z", "Z"),
-    ("X", "I"): (1, "X", "X"),
-    ("X", "X"): (1, "X", "I"),
-    ("X", "Y"): (1, "Y", "Z"),
-    ("X", "Z"): (-1, "Y", "Y"),
-    ("Y", "I"): (1, "Y", "X"),
-    ("Y", "X"): (1, "Y", "I"),
-    ("Y", "Y"): (-1, "X", "Z"),
-    ("Y", "Z"): (1, "X", "Y"),
-    ("Z", "I"): (1, "Z", "I"),
-    ("Z", "X"): (1, "Z", "X"),
-    ("Z", "Y"): (1, "I", "Y"),
-    ("Z", "Z"): (1, "I", "Z"),
-}
-
 
 def cnot_sign_flip(x_c, z_c, x_t, z_t):
     """Sign-flip indicator of CNOT conjugation on 0/1 component bits.
 
-    Evaluates ``x_c z_t (x_t ⊕ z_c ⊕ 1)`` — the ``(X,Z) → -YY`` /
-    ``(Y,Y) → -XZ`` rows of the conjugation table.  Pure bit arithmetic, so
+    Evaluates ``x_c z_t (x_t ⊕ z_c ⊕ 1)`` — exactly the ``(X,Z) → -YY`` and
+    ``(Y,Y) → -XZ`` cases of conjugating ``(control, target)`` by a CNOT,
+    which maps ``X_c → X_c X_t``, ``Z_c → Z_c``, ``X_t → X_t`` and
+    ``Z_t → Z_c Z_t``.  Pure bit arithmetic, so
     it works identically on Python ints and on numpy 0/1 arrays; this is the
     single normative implementation shared by :func:`_cnot_step` here and by
     the bit-plane tableau engine in :mod:`repro.verify.tableau`.

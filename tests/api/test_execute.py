@@ -1,6 +1,7 @@
 """The job-execution core: one retry rule, one tier chain, one entry contract."""
 
 import asyncio
+import dataclasses
 from concurrent.futures import BrokenExecutor
 
 import pytest
@@ -33,6 +34,7 @@ from repro.service import service as service_module
 from repro.vqe import ExcitationTerm
 
 FAST = CompilerConfig(gamma_steps=5, sorting_population=8, sorting_generations=5, seed=0)
+UNSEEDED = dataclasses.replace(FAST, seed=None)
 
 
 def make_request(shift=0):
@@ -67,6 +69,17 @@ def broken():
     register_backend(backend)
     yield backend
     unregister_backend(backend.name)
+
+
+async def serve_twice(request, disk_dir):
+    """Submit ``request`` twice, the second after the first finished; the tiers."""
+    tiers = []
+    async with CompileService(disk_cache=PersistentCompileCache(disk_dir)) as service:
+        for _ in range(2):
+            job_id = await service.submit(request, backend="advanced")
+            await service.result(job_id)
+            tiers.append(service.status(job_id).tier)
+    return tiers
 
 
 class TestRetryRule:
@@ -165,6 +178,49 @@ class TestEntryContract:
         # the memory tier still got the result.
         assert key not in tiers.journal
         assert key in tiers.memory
+
+
+class TestUnseededResultsAreNotCached:
+    """``seed=None`` makes a compile a random draw: no tier may serve the
+    first draw in place of the next one."""
+
+    def test_batch_with_a_shared_cache_compiles_twice(self, tmp_path):
+        request = dataclasses.replace(make_request(), config=UNSEEDED)
+        cache = CompileCache()
+        for _ in range(2):
+            batch = compile_batch(
+                [request], backends="advanced", cache=cache, checkpoint_dir=tmp_path
+            )
+            assert len(batch.report.compiled) == 1
+            assert batch.report.skipped == []
+        assert len(cache) == 0
+        assert len(PersistentCompileCache(tmp_path)) == 0
+
+    def test_service_second_submit_is_computed(self, tmp_path):
+        request = dataclasses.replace(make_request(), config=UNSEEDED)
+        tiers = asyncio.run(serve_twice(request, tmp_path))
+        assert tiers == ["compute", "compute"]
+        assert len(PersistentCompileCache(tmp_path)) == 0
+
+    def test_seeded_results_are_still_cached(self, tmp_path):
+        request = make_request()
+        assert request.config.seed == 0
+        cache = CompileCache()
+        compile_batch([request], backends="advanced", cache=cache)
+        again = compile_batch([request], backends="advanced", cache=cache)
+        assert again.report.compiled == []
+        assert again.cache_hits == 1
+
+        tiers = asyncio.run(serve_twice(request, tmp_path))
+        assert tiers == ["compute", "memory"]
+        assert len(PersistentCompileCache(tmp_path)) == 1
+
+    def test_config_blind_backend_caches_unseeded_requests(self):
+        request = dataclasses.replace(make_request(), config=UNSEEDED)
+        cache = CompileCache()
+        compile_batch([request], backends="jordan-wigner", cache=cache)
+        again = compile_batch([request], backends="jordan-wigner", cache=cache)
+        assert again.report.compiled == []
 
 
 class TestDiskBehindTheBreaker:

@@ -1,5 +1,7 @@
 """Cached/vectorized integral engine: bit-identity and memoization behavior."""
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from repro.chemistry import (
@@ -10,11 +12,10 @@ from repro.chemistry import (
     make_molecule,
     molecule_fingerprint,
     run_rhf,
-    set_integral_caching,
     shell_pair_data,
 )
+from repro.chemistry import integrals
 from repro.chemistry.integrals import (
-    _electron_repulsion_vectorized,
     boys_function,
     build_electron_repulsion_tensor,
     electron_repulsion,
@@ -22,6 +23,27 @@ from repro.chemistry.integrals import (
     hermite_coulomb,
     hermite_expansion,
 )
+
+#: Each memoized/vectorized entry point and its uncached seed reference.
+SEED_REFERENCES = {
+    "boys_function": "_boys_function_direct",
+    "hermite_expansion": "_hermite_expansion_direct",
+    "hermite_coulomb": "_hermite_coulomb_direct",
+    "electron_repulsion": "electron_repulsion_scalar",
+}
+
+
+@contextmanager
+def seed_integrals():
+    """The seed's uncached path: every entry point bound to its reference."""
+    saved = {name: getattr(integrals, name) for name in SEED_REFERENCES}
+    for name, reference in SEED_REFERENCES.items():
+        setattr(integrals, name, getattr(integrals, reference))
+    try:
+        yield
+    finally:
+        for name, function in saved.items():
+            setattr(integrals, name, function)
 
 
 def lih_basis():
@@ -37,45 +59,50 @@ class TestVectorizedElectronRepulsion:
             for b in functions:
                 for c in functions:
                     for d in functions:
-                        vectorized = _electron_repulsion_vectorized(a, b, c, d)
+                        vectorized = electron_repulsion(a, b, c, d)
                         scalar = electron_repulsion_scalar(a, b, c, d)
                         assert vectorized == scalar
 
-    def test_caching_toggle_is_bit_transparent(self):
+    def test_seed_path_tensor_is_bit_identical(self):
         basis = build_sto3g_basis(make_molecule("H2"))
         clear_integral_caches()
         cached_tensor = build_electron_repulsion_tensor(basis)
-        previous = set_integral_caching(False)
-        try:
-            assert previous is True
+        with seed_integrals():
+            assert integrals.electron_repulsion is electron_repulsion_scalar
             plain_tensor = build_electron_repulsion_tensor(basis)
-        finally:
-            set_integral_caching(True)
+        assert integrals.electron_repulsion is electron_repulsion
         assert np.array_equal(cached_tensor, plain_tensor)
 
-    def test_scalar_kernels_bit_transparent_under_toggle(self):
+    def test_seed_path_scf_is_bit_identical(self):
+        molecule = make_molecule("H2")
+        cached = run_rhf(molecule, use_cache=False)
+        with seed_integrals():
+            seed = run_rhf(molecule, use_cache=False)
+        assert seed.energy == cached.energy
+        assert np.array_equal(seed.electron_repulsion, cached.electron_repulsion)
+
+    def test_scalar_kernels_match_the_uncached_recursion(self):
         args_expansion = (1, 1, 1, 0.7, 5.0, 1.3)
         args_coulomb = (1, 0, 1, 0, 2.0, 0.1, -0.2, 0.3, 0.14)
+        clear_integral_caches()
+        with seed_integrals():
+            direct = (
+                integrals.hermite_expansion(*args_expansion),
+                integrals.hermite_coulomb(*args_coulomb),
+                integrals.boys_function(2, 0.8),
+            )
+        # The seed path recursed without touching a memo ...
+        for memo in (hermite_expansion, hermite_coulomb, boys_function):
+            assert memo.cache_info().currsize == 0
         cached = (
             hermite_expansion(*args_expansion),
             hermite_coulomb(*args_coulomb),
             boys_function(2, 0.8),
         )
-        set_integral_caching(False)
-        try:
-            direct = (
-                hermite_expansion(*args_expansion),
-                hermite_coulomb(*args_coulomb),
-                boys_function(2, 0.8),
-            )
-        finally:
-            set_integral_caching(True)
+        # ... and the memoized path memoizes every level of its recursion.
+        assert hermite_expansion.cache_info().currsize > 1
+        assert hermite_coulomb.cache_info().currsize > 1
         assert cached == direct
-
-    def test_dispatch_uses_vectorized_path_when_enabled(self):
-        basis = build_sto3g_basis(make_molecule("H2"))
-        value = electron_repulsion(basis[0], basis[0], basis[1], basis[1])
-        assert value == electron_repulsion_scalar(basis[0], basis[0], basis[1], basis[1])
 
 
 class TestShellPairCache:
@@ -232,9 +259,6 @@ class TestNoCyclicGarbage:
             gc.garbage.clear()
         assert garbage == []
 
-        previous = set_integral_caching(False)
-        try:
+        with seed_integrals():
             reference = build_electron_repulsion_tensor(basis)
-        finally:
-            set_integral_caching(previous)
         assert np.array_equal(tensor, reference)

@@ -36,7 +36,8 @@ class TestSortingProblem:
         """The weight of ([P0, t=3], [P1, t=3]) is minus four saved CNOTs."""
         rotations = [rotation("IIXXYXII"), rotation("IIXXXYII")]
         problem = build_sorting_problem(rotations)
-        weight = problem.weight((0, 2), (1, 2))
+        rows = [vertex for cluster in problem.clusters for vertex in cluster]
+        weight = problem.weight_matrix[rows.index((0, 2)), rows.index((1, 2))]
         assert weight == -4.0
 
     def test_identity_rotation_rejected(self):

@@ -41,7 +41,9 @@ def small_problem():
         return float(np.hypot(ux - vx, uy - vy))
 
     clusters = [[(0, 0), (0, 1)], [(1, 0), (1, 1)], [(2, 0), (2, 1)]]
-    return GtspProblem(clusters=clusters, weight=weight)
+    vertices = [vertex for cluster in clusters for vertex in cluster]
+    matrix = [[weight(u, v) for v in vertices] for u in vertices]
+    return GtspProblem(clusters=clusters, weight_matrix=matrix)
 
 
 class TestAnnealingBudget:

@@ -6,10 +6,20 @@ import pytest
 from repro.optimizers import GtspProblem, brute_force_gtsp, solve_gtsp
 
 
+def matrix_problem(clusters, weight):
+    """A GTSP instance whose matrix holds ``weight(u, v)`` for every vertex pair."""
+    vertices = [vertex for cluster in clusters for vertex in cluster]
+    matrix = np.array([[weight(u, v) for v in vertices] for u in vertices], dtype=float)
+    return GtspProblem(clusters=clusters, weight_matrix=matrix)
+
+
+def constant_problem(clusters, value):
+    n = sum(len(cluster) for cluster in clusters)
+    return GtspProblem(clusters=clusters, weight_matrix=np.full((n, n), value))
+
+
 def euclidean_problem(points_by_cluster):
     """Build a GTSP instance from clusters of 2D points."""
-    clusters = [list(range_start) for range_start in points_by_cluster]
-
     coordinates = {}
     clusters = []
     for cluster_index, points in enumerate(points_by_cluster):
@@ -23,27 +33,27 @@ def euclidean_problem(points_by_cluster):
     def weight(u, v):
         return float(np.linalg.norm(coordinates[u] - coordinates[v]))
 
-    return GtspProblem(clusters=clusters, weight=weight)
+    return matrix_problem(clusters, weight)
 
 
 class TestProblemValidation:
     def test_empty_clusters_rejected(self):
         with pytest.raises(ValueError):
-            GtspProblem(clusters=[], weight=lambda u, v: 0.0)
+            GtspProblem(clusters=[], weight_matrix=np.zeros((0, 0)))
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):
-            GtspProblem(clusters=[[1], []], weight=lambda u, v: 0.0)
+            GtspProblem(clusters=[[1], []], weight_matrix=np.zeros((1, 1)))
 
     def test_tour_cost_checks_coverage(self):
-        problem = GtspProblem(clusters=[[0], [1]], weight=lambda u, v: 1.0)
+        problem = constant_problem([[0], [1]], 1.0)
         with pytest.raises(ValueError):
             problem.tour_cost([(0, 0)])
         with pytest.raises(ValueError):
             problem.tour_cost([(0, 0), (0, 0)])
 
     def test_single_cluster_tour_costs_zero(self):
-        problem = GtspProblem(clusters=[["a", "b"]], weight=lambda u, v: 5.0)
+        problem = constant_problem([["a", "b"]], 5.0)
         assert problem.tour_cost([(0, "a")]) == 0.0
 
 
@@ -80,23 +90,23 @@ class TestSolver:
             return -float(savings[u[1], v[1]])
 
         clusters = [[(c, v) for v in range(c, c + 2)] for c in range(0, 6, 2)]
-        problem = GtspProblem(clusters=clusters, weight=weight)
+        problem = matrix_problem(clusters, weight)
         result = solve_gtsp(problem, population_size=16, generations=20, rng=rng)
         assert result.cost <= 0.0
 
     def test_single_cluster_instance(self):
-        problem = GtspProblem(clusters=[["a", "b", "c"]], weight=lambda u, v: 1.0)
+        problem = constant_problem([["a", "b", "c"]], 1.0)
         result = solve_gtsp(problem, population_size=4, generations=3, rng=np.random.default_rng(0))
         assert result.cost == 0.0
         assert len(result.tour) == 1
 
     def test_invalid_population_size(self):
-        problem = GtspProblem(clusters=[["a"]], weight=lambda u, v: 1.0)
+        problem = constant_problem([["a"]], 1.0)
         with pytest.raises(ValueError):
             solve_gtsp(problem, population_size=1)
 
     def test_brute_force_size_guard(self):
-        problem = GtspProblem(clusters=[[i] for i in range(9)], weight=lambda u, v: 1.0)
+        problem = constant_problem([[i] for i in range(9)], 1.0)
         with pytest.raises(ValueError):
             brute_force_gtsp(problem)
 

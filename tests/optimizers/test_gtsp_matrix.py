@@ -3,14 +3,16 @@
 The dense-matrix rewrite of :mod:`repro.optimizers.gtsp` claims *bit-identical*
 behavior: same tour costs, same DP vertex assignments, same solver output per
 seed.  This suite checks the claim against faithful copies of the seed
-implementation (scalar ``weight`` calls, ``np.argmin`` over Python lists) on
-hypothesis-generated random problems and on a real advanced-sorting instance.
+implementation (scalar ``weight(u, v)`` calls, ``np.argmin`` over Python
+lists), run on a scalar-weight twin of each problem, on hypothesis-generated
+random problems and on a real advanced-sorting instance.
 
 The structured same-target kernel and the batched GA loop make the same
 claim; they are checked against the scalar DP and against a kept copy of the
 solver as it was before them (per-child dense DP, scalar crossover draws).
 """
 
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -30,6 +32,22 @@ from repro.optimizers.gtsp import (
 # ----------------------------------------------------------------------
 # Seed reference implementation (scalar weight calls, list-based DP)
 # ----------------------------------------------------------------------
+#: The seed's problem shape: clusters plus a scalar ``weight(u, v)`` callable.
+SeedProblem = namedtuple("SeedProblem", ["clusters", "weight"])
+
+
+def seed_twin(problem):
+    """A scalar-weight view of a matrix problem: one flat dict, scalar lookups."""
+    vertices = [vertex for cluster in problem.clusters for vertex in cluster]
+    row_of = {vertex: row for row, vertex in enumerate(vertices)}
+    matrix = problem.weight_matrix
+
+    def weight(u, v):
+        return float(matrix[row_of[u], row_of[v]])
+
+    return SeedProblem(problem.clusters, weight)
+
+
 def legacy_tour_cost(problem, tour):
     if len(tour) <= 1:
         return 0.0
@@ -90,7 +108,7 @@ def legacy_cluster_optimization(order, choices, problem):
 # Random problem generation
 # ----------------------------------------------------------------------
 def random_problem_pair(seed, n_clusters, max_cluster_size, integer_weights=False):
-    """The same instance twice: scalar-weight built and matrix built."""
+    """The same instance twice: its scalar-weight seed twin and the matrix problem."""
     rng = np.random.default_rng(seed)
     clusters = [
         [(c, i) for i in range(int(rng.integers(1, max_cluster_size + 1)))]
@@ -101,19 +119,8 @@ def random_problem_pair(seed, n_clusters, max_cluster_size, integer_weights=Fals
         matrix = rng.integers(-6, 7, size=(n_vertices, n_vertices)).astype(float)
     else:
         matrix = rng.uniform(-5.0, 5.0, size=(n_vertices, n_vertices))
-    row_of = {}
-    row = 0
-    for cluster in clusters:
-        for vertex in cluster:
-            row_of[vertex] = row
-            row += 1
-
-    def weight(u, v):
-        return float(matrix[row_of[u], row_of[v]])
-
-    scalar = GtspProblem(clusters=clusters, weight=weight)
     dense = GtspProblem(clusters=clusters, weight_matrix=matrix)
-    return scalar, dense
+    return seed_twin(dense), dense
 
 
 problem_shapes = st.tuples(
@@ -136,37 +143,21 @@ class TestTourCost:
             (c, scalar.clusters[c][int(rng.integers(len(scalar.clusters[c])))])
             for c in order
         ]
-        expected = legacy_tour_cost(scalar, tour)
-        assert scalar.tour_cost(tour) == expected
-        assert dense.tour_cost(tour) == expected
-
-    def test_matrix_problem_weight_shim(self):
-        _, dense = random_problem_pair(3, 3, 3)
-        u = dense.clusters[0][0]
-        v = dense.clusters[2][-1]
-        # The shim serves exactly the matrix entry for any vertex pair.
-        assert dense.weight(u, v) == float(
-            dense.matrix[dense._row_of(u), dense._row_of(v)]
-        )
-
-    def test_lazy_matrix_matches_weight_calls(self):
-        scalar, dense = random_problem_pair(7, 4, 3)
-        assert np.array_equal(scalar.matrix, dense.matrix)
+        assert dense.tour_cost(tour) == legacy_tour_cost(scalar, tour)
 
     def test_bad_matrix_shape_rejected(self):
         with pytest.raises(ValueError):
             GtspProblem(clusters=[["a"], ["b"]], weight_matrix=np.zeros((3, 3)))
 
-    def test_problem_without_weight_or_matrix_rejected(self):
-        with pytest.raises(ValueError):
+    def test_problem_without_matrix_rejected(self):
+        with pytest.raises(TypeError):
             GtspProblem(clusters=[["a"], ["b"]])
 
-    def test_foreign_vertex_falls_back_to_weight_callable(self):
-        scalar, _ = random_problem_pair(11, 2, 2)
-        # Seed behavior: tour_cost accepted any vertex the weight callable
-        # understood, even outside the declared cluster list.
-        foreign_tour = [(0, scalar.clusters[0][0]), (1, scalar.clusters[1][0])]
-        assert scalar.tour_cost(foreign_tour) == legacy_tour_cost(scalar, foreign_tour)
+    def test_vertex_outside_its_cluster_rejected(self):
+        _, dense = random_problem_pair(11, 2, 2)
+        swapped = [(0, dense.clusters[1][0]), (1, dense.clusters[0][0])]
+        with pytest.raises(ValueError, match="not in cluster"):
+            dense.tour_cost(swapped)
 
 
 class TestClusterOptimization:
@@ -184,11 +175,10 @@ class TestClusterOptimization:
         legacy_choices = list(choices)
         legacy_cluster_optimization(order, legacy_choices, scalar)
 
-        for problem in (scalar, dense):
-            chromosome = _Chromosome(list(order), list(choices))
-            _cluster_optimization(chromosome, problem)
-            assert chromosome.choices == legacy_choices
-            assert chromosome.order == order
+        chromosome = _Chromosome(list(order), list(choices))
+        _cluster_optimization(chromosome, dense)
+        assert chromosome.choices == legacy_choices
+        assert chromosome.order == order
 
 
 class TestSolverSeedIdentity:
@@ -197,29 +187,28 @@ class TestSolverSeedIdentity:
     def test_scalar_and_matrix_problems_solve_identically(self, shape, solver_seed):
         seed, n_clusters, max_size, integer_weights = shape
         scalar, dense = random_problem_pair(seed, n_clusters, max_size, integer_weights)
-        result_scalar = solve_gtsp(
-            scalar, population_size=8, generations=5, rng=np.random.default_rng(solver_seed)
-        )
         result_dense = solve_gtsp(
             dense, population_size=8, generations=5, rng=np.random.default_rng(solver_seed)
         )
-        assert result_scalar.tour == result_dense.tour
-        assert result_scalar.cost == result_dense.cost
+        tour, cost = seed_solve_gtsp(
+            dense, population_size=8, generations=5, rng=np.random.default_rng(solver_seed)
+        )
+        assert result_dense.tour == tour
+        assert result_dense.cost == cost
         # The reported cost is exactly the legacy accumulation over the tour.
-        assert result_scalar.cost == legacy_tour_cost(scalar, result_scalar.tour)
+        assert result_dense.cost == legacy_tour_cost(scalar, result_dense.tour)
 
     def test_all_equal_weights_tie_breaking(self):
         clusters = [[(c, i) for i in range(3)] for c in range(4)]
         n = sum(len(c) for c in clusters)
         dense = GtspProblem(clusters=clusters, weight_matrix=np.ones((n, n)))
-        scalar = GtspProblem(clusters=clusters, weight=lambda u, v: 1.0)
         for seed in range(3):
             a = solve_gtsp(dense, population_size=6, generations=4,
                            rng=np.random.default_rng(seed))
-            b = solve_gtsp(scalar, population_size=6, generations=4,
-                           rng=np.random.default_rng(seed))
-            assert a.tour == b.tour
-            assert a.cost == b.cost == 4.0
+            tour, cost = seed_solve_gtsp(dense, population_size=6, generations=4,
+                                         rng=np.random.default_rng(seed))
+            assert a.tour == tour
+            assert a.cost == cost == 4.0
 
 
 class TestRealSortingProblem:
@@ -227,9 +216,9 @@ class TestRealSortingProblem:
         """Regression: the real Sec. III-B instance, new solver vs seed DP path.
 
         Builds the H2 sorting problem the advanced backend compiles, then
-        cross-checks the matrix solver against a scalar-weight twin of the
-        same instance for several seeds (the per-seed bit-identity the golden
-        Table-I counts rely on).
+        cross-checks the matrix solver against the seed solver on a
+        scalar-weight twin of the same instance for several seeds (the
+        per-seed bit-identity the golden Table-I counts rely on).
         """
         from repro.core.advanced_sorting import build_sorting_problem
         from repro.core.pipeline import DEFAULT_STAGES, AdvancedPipeline
@@ -247,21 +236,18 @@ class TestRealSortingProblem:
             stage(context)
         problem = build_sorting_problem(context.rotations)
 
-        scalar_twin = GtspProblem(
-            clusters=problem.clusters, weight=problem.weight
-        )
         for seed in range(3):
             dense = solve_gtsp(
                 problem, population_size=8, generations=6,
                 rng=np.random.default_rng(seed),
             )
-            scalar = solve_gtsp(
-                scalar_twin, population_size=8, generations=6,
+            tour, cost = seed_solve_gtsp(
+                problem, population_size=8, generations=6,
                 rng=np.random.default_rng(seed),
             )
-            assert dense.tour == scalar.tour
-            assert dense.cost == scalar.cost
-            assert dense.cost == legacy_tour_cost(problem, dense.tour)
+            assert dense.tour == tour
+            assert dense.cost == cost
+            assert dense.cost == legacy_tour_cost(seed_twin(problem), dense.tour)
 
 
 # ----------------------------------------------------------------------
@@ -348,14 +334,17 @@ def reference_solve_gtsp(
     cluster_optimization_rate=0.25,
     rng=None,
     initial_tours=None,
+    optimize=reference_cluster_optimization,
+    cost=None,
 ):
+    cost = cost or (lambda chromosome: chromosome.cost(problem))
     population = [reference_random_chromosome(problem, rng) for _ in range(population_size)]
     if initial_tours:
         seeds = [reference_chromosome_from_tour(problem, tour) for tour in initial_tours]
         population[: len(seeds)] = seeds[:population_size]
     for chromosome in population:
-        reference_cluster_optimization(chromosome, problem)
-    costs = [chromosome.cost(problem) for chromosome in population]
+        optimize(chromosome, problem)
+    costs = [cost(chromosome) for chromosome in population]
     n_elite = max(1, int(elite_fraction * population_size))
     best_index = min(range(population_size), key=costs.__getitem__)
     best_chromosome, best_cost = population[best_index], costs[best_index]
@@ -370,9 +359,9 @@ def reference_solve_gtsp(
             child = reference_crossover(population[parents[0]], population[parents[1]], rng)
             reference_mutate(child, problem, rng, mutation_rate)
             if rng.random() < cluster_optimization_rate:
-                reference_cluster_optimization(child, problem)
+                optimize(child, problem)
             next_population.append(child)
-            next_costs.append(child.cost(problem))
+            next_costs.append(cost(child))
         population = next_population
         costs = next_costs
         generation_best = min(range(population_size), key=costs.__getitem__)
@@ -380,11 +369,24 @@ def reference_solve_gtsp(
             best_chromosome = population[generation_best]
             best_cost = costs[generation_best]
     best_chromosome = _Chromosome(list(best_chromosome.order), list(best_chromosome.choices))
-    reference_cluster_optimization(best_chromosome, problem)
-    final_cost = best_chromosome.cost(problem)
+    optimize(best_chromosome, problem)
+    final_cost = cost(best_chromosome)
     if final_cost < best_cost:
         best_cost = final_cost
     return best_chromosome.tour(problem), best_cost
+
+
+def seed_solve_gtsp(problem, **kwargs):
+    """The reference solver on the seed's scalar-weight DP and tour cost."""
+    seed = seed_twin(problem)
+
+    def optimize(chromosome, _):
+        legacy_cluster_optimization(chromosome.order, chromosome.choices, seed)
+
+    def cost(chromosome):
+        return legacy_tour_cost(seed, chromosome.tour(problem))
+
+    return reference_solve_gtsp(problem, optimize=optimize, cost=cost, **kwargs)
 
 
 def assert_solves_like_reference(problem, seed, **kwargs):
@@ -456,7 +458,7 @@ class TestStructuredKernel:
         expected = []
         for chromosome in chromosomes:
             choices = list(chromosome.choices)
-            legacy_cluster_optimization(chromosome.order, choices, problem)
+            legacy_cluster_optimization(chromosome.order, choices, seed_twin(problem))
             expected.append(choices)
 
         _structured_cluster_optimization(problem, chromosomes)
@@ -616,10 +618,11 @@ class TestSearchSummary:
 class TestNoReferenceCycle:
     @pytest.mark.parametrize("structured", [False, True])
     def test_problem_is_freed_without_a_garbage_collection(self, structured):
-        """The matrix ``weight`` shim must not tie the problem into a cycle.
+        """A solved problem must not be tied into a reference cycle.
 
-        A bound method stored on the problem did, so every solved problem,
-        with its dense matrix and row lists, lived until a full collection.
+        A bound method stored on the problem once was, so every solved
+        problem, with its dense matrix and row lists, lived until a full
+        collection.
         """
         import gc
         import weakref
@@ -630,12 +633,11 @@ class TestNoReferenceCycle:
             # Half-integer weights fail the structure check.
             problem = GtspProblem(
                 clusters=template.clusters,
-                weight_matrix=template.matrix + (0.0 if structured else 0.5),
+                weight_matrix=template.weight_matrix + (0.0 if structured else 0.5),
             )
             assert problem.target_structured == structured
             solve_gtsp(problem, population_size=6, generations=2,
                        rng=np.random.default_rng(0))
-            problem.weight(problem.clusters[0][0], problem.clusters[1][0])
             alive = weakref.ref(problem)
             del problem
             assert alive() is None

@@ -295,7 +295,7 @@ class TestBackpressure:
                         rejected += 1
                 for job_id in accepted:
                     await service.result(job_id)
-                return len(accepted), rejected, service.metrics.rejections
+                return len(accepted), rejected, service.metrics.rejections.value
 
         accepted, rejected, counted = run(scenario())
         assert accepted == 2 and rejected == 3 and counted == 3
@@ -307,7 +307,7 @@ class TestBackpressure:
                 joined = await service.submit(make_request(), backend.name)
                 await service.result(first)
                 await service.result(joined)
-                return service.metrics.rejections
+                return service.metrics.rejections.value
 
         assert run(scenario()) == 0
 
@@ -320,7 +320,7 @@ class TestBackpressure:
                 ]
                 for job_id in jobs:
                     await service.result(job_id)
-                return service.metrics.queue_depth_peak, service.metrics.queue_depth
+                return service.metrics.queue_depth.peak, service.metrics.queue_depth.value
 
         peak, final = run(scenario())
         assert peak >= 3 and final == 0
@@ -338,7 +338,7 @@ class TestCancellation:
                 await service.join()
                 with pytest.raises(JobCancelledError):
                     await service.result(drop)
-                return service.status(drop), service.metrics.cancellations
+                return service.status(drop), service.metrics.cancellations.value
 
         status, cancellations = run(scenario())
         assert status.state is JobState.CANCELLED
@@ -394,7 +394,7 @@ class TestFailures:
                 job_id = await service.submit(make_request(), backend.name)
                 with pytest.raises(ValueError, match="bad molecule"):
                     await service.result(job_id)
-                return service.status(job_id), service.metrics.failures
+                return service.status(job_id), service.metrics.failures.value
 
         status, failures = run(scenario())
         assert status.state is JobState.FAILED

@@ -155,7 +155,7 @@ class TestServiceFallback:
                 warm = await service.compile(make_request(), backend="svc-rescue")
                 job_id = await service.submit(make_request(), backend="svc-breaking")
                 result = await service.result(job_id)
-                return warm, result, service.status(job_id), service.metrics.fallbacks
+                return warm, result, service.status(job_id), service.metrics.fallbacks.value
 
         warm, result, status, fallbacks = run(scenario())
         assert len(rescue.compiled) == 1  # zero fallback compiles
@@ -187,7 +187,7 @@ class TestServiceFallback:
                 fallback=("svc-rescue", "svc-rescue-2"), retry_policy=NO_RETRIES
             ) as service:
                 result = await service.compile(make_request(), backend="svc-breaking")
-                return result, service.metrics.fallbacks
+                return result, service.metrics.fallbacks.value
 
         result, fallbacks = run(scenario())
         assert result.backend == "svc-rescue-2"

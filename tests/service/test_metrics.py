@@ -2,18 +2,48 @@
 
 import pytest
 
-from repro.service import TIERS, LatencyHistogram, ServiceMetrics
+from repro.obs import Histogram
+from repro.service import TIERS, ServiceMetrics
+
+#: The snapshot schema that ``benchmarks/bench_service.py`` and the perfbench
+#: service workload read.
+TOP_LEVEL_KEYS = {
+    "submitted", "served", "tiers", "hit_rates", "cache_hit_rate", "failures",
+    "cancellations", "rejections", "queue_depth", "queue_depth_peak",
+    "resilience", "latency",
+}
+RESILIENCE_KEYS = {
+    "timeouts", "retries", "abandonments", "worker_crashes", "fallbacks",
+    "disk_faults", "disk_degraded", "breaker_opens", "breaker_closes",
+    "breaker_state",
+}
+#: Each ServiceMetrics counter and the snapshot path it is reported under.
+COUNTER_KEYS = {
+    "submitted": ("submitted",),
+    "failures": ("failures",),
+    "cancellations": ("cancellations",),
+    "rejections": ("rejections",),
+    "timeouts": ("resilience", "timeouts"),
+    "retries": ("resilience", "retries"),
+    "abandonments": ("resilience", "abandonments"),
+    "worker_crashes": ("resilience", "worker_crashes"),
+    "fallbacks": ("resilience", "fallbacks"),
+    "disk_faults": ("resilience", "disk_faults"),
+    "disk_degraded": ("resilience", "disk_degraded"),
+    "breaker_opens": ("resilience", "breaker_opens"),
+    "breaker_closes": ("resilience", "breaker_closes"),
+}
 
 
 class TestLatencyHistogram:
     def test_empty_summary(self):
-        histogram = LatencyHistogram("wait")
+        histogram = Histogram("wait")
         assert histogram.summary() == {"count": 0}
         assert histogram.percentile(50) is None
         assert len(histogram) == 0
 
     def test_percentiles_nearest_rank(self):
-        histogram = LatencyHistogram("total")
+        histogram = Histogram("total")
         for value in range(1, 101):  # 1..100 ms
             histogram.record(value / 1e3)
         assert histogram.percentile(50) == pytest.approx(0.050)
@@ -24,10 +54,10 @@ class TestLatencyHistogram:
 
     def test_percentile_range_validated(self):
         with pytest.raises(ValueError):
-            LatencyHistogram("x").percentile(101)
+            Histogram("x").percentile(101)
 
     def test_summary_fields(self):
-        histogram = LatencyHistogram("compute")
+        histogram = Histogram("compute")
         histogram.record(0.002)
         histogram.record(0.004)
         summary = histogram.summary()
@@ -62,20 +92,48 @@ class TestServiceMetrics:
     def test_queue_depth_peak(self):
         metrics = ServiceMetrics()
         for depth in (1, 4, 2):
-            metrics.record_queue_depth(depth)
-        assert metrics.queue_depth == 2
-        assert metrics.queue_depth_peak == 4
+            metrics.queue_depth.set(depth)
+        assert metrics.queue_depth.value == 2
+        assert metrics.queue_depth.peak == 4
 
     def test_snapshot_is_json_shaped(self):
+        import inspect
         import json
+        import re
+
+        from repro.service import service as service_module
 
         metrics = ServiceMetrics()
         metrics.count_tier("disk")
         metrics.wait.record(0.001)
         metrics.total.record(0.002)
         snapshot = metrics.snapshot()
+        assert set(snapshot) == TOP_LEVEL_KEYS
+        assert set(snapshot["resilience"]) == RESILIENCE_KEYS
+        assert set(snapshot["latency"]) == {"wait", "compute", "total"}
         assert set(snapshot["tiers"]) == set(TIERS)
+        assert set(snapshot["hit_rates"]) == set(TIERS)
         assert snapshot["served"] == 1
         assert snapshot["hit_rates"]["disk"] == 1.0
         assert snapshot["latency"]["wait"]["count"] == 1
         json.dumps(snapshot)  # must round-trip to JSON
+
+        # Every counter lands under its own key, with its own count.
+        for amount, (name, path) in enumerate(COUNTER_KEYS.items(), start=1):
+            getattr(metrics, name).inc(amount)
+        metrics.breaker_state.set(2)
+        for depth in (5, 3):
+            metrics.queue_depth.set(depth)
+        snapshot = metrics.snapshot()
+        for amount, (name, path) in enumerate(COUNTER_KEYS.items(), start=1):
+            value = snapshot
+            for key in path:
+                value = value[key]
+            assert value == amount, name
+        assert snapshot["resilience"]["breaker_state"] == 2
+        assert (snapshot["queue_depth"], snapshot["queue_depth_peak"]) == (3, 5)
+
+        # ... and that covers every counter the service increments.
+        source = inspect.getsource(service_module)
+        incremented = set(re.findall(r"self\.metrics\.(\w+)\.inc\(\)", source))
+        assert incremented and incremented <= set(COUNTER_KEYS)
