@@ -41,7 +41,7 @@ its gates don't apply.
 The chaos run executes under an enabled tracer; the span forest (including
 ``service.retry`` and ``service.breaker`` events) is exported as a Chrome
 trace to ``TRACE_chaos.json`` and the metric report to ``BENCH_chaos.json``;
-the ``chaos-bench`` CI job uploads both and fails on any violated gate.
+the ``chaos`` entry of the ``bench`` CI job matrix uploads both and fails on any violated gate.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_chaos.py [--output BENCH_chaos.json]

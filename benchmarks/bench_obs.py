@@ -14,8 +14,8 @@ The :mod:`repro.obs` tracer promises two things this harness enforces:
 
 Results go to ``BENCH_obs.json``; the native and Chrome traces of the last
 traced compile are written next to it (``trace_obs.json`` /
-``trace_obs.chrome.json``) and uploaded as CI artifacts by the ``obs-bench``
-job.  Violated floors exit non-zero and fail that job.
+``trace_obs.chrome.json``) and uploaded as CI artifacts by the ``obs`` entry
+of the ``bench`` CI job matrix.  Violated floors exit non-zero and fail it.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_obs.py [--output BENCH_obs.json]

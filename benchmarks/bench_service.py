@@ -24,8 +24,8 @@ what repeat traffic costs once results persist across processes:
 
 Results (latency histograms with p50/p95/p99 per section, queue depth,
 cache counters) are written to ``BENCH_service.json`` and uploaded as a CI
-artifact by the ``service-bench`` job; the floors above fail the job when
-violated.
+artifact by the ``service`` entry of the ``bench`` CI job matrix; the floors
+above fail the job when violated.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_service.py [--output BENCH_service.json]

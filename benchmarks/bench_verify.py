@@ -23,7 +23,8 @@ registers far past the dense ceiling, cheap enough for every CI run:
 
 Results (per-section wall times, engine tags, differential counts) are
 written to ``BENCH_verify.json`` and uploaded as a CI artifact by the
-``verify-bench`` job; the floors above fail the job when violated.
+``verify`` entry of the ``bench`` CI job matrix; the floors above fail the
+job when violated.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_verify.py [--output BENCH_verify.json]

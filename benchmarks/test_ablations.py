@@ -9,8 +9,8 @@ each technique buys:
 * hybrid encoding on/off (Sec. III-A),
 * GTSP advanced sorting vs naive per-term ordering (Sec. III-B),
 * per-string target freedom vs shared targets (Sec. III-B),
-* block-diagonal Γ simulated annealing vs identity transformation vs the
-  baseline's PSO-searched upper-triangular matrix (Sec. III-C).
+* block-diagonal Γ simulated annealing vs the identity transformation
+  (Sec. III-C).
 """
 
 import numpy as np
@@ -111,7 +111,7 @@ class TestSortingAblation:
         hamiltonian, terms = water_case
         n_qubits = hamiltonian.n_spin_orbitals
         advanced = make_pipeline(
-            use_bosonic_encoding=False, use_hybrid_encoding=False, use_gamma_search=False
+            use_bosonic_encoding=False, use_hybrid_encoding=False, gamma_steps=0
         ).run(terms, n_qubits=n_qubits).cnot_count
         shared_target = get_backend("baseline").compile(
             CompileRequest(
@@ -132,7 +132,7 @@ class TestGammaAblation:
 
         def run():
             with_gamma = make_pipeline().run(terms, n_qubits=n_qubits).cnot_count
-            without_gamma = make_pipeline(use_gamma_search=False).run(
+            without_gamma = make_pipeline(gamma_steps=0).run(
                 terms, n_qubits=n_qubits
             ).cnot_count
             return with_gamma, without_gamma
@@ -140,20 +140,3 @@ class TestGammaAblation:
         with_gamma, without_gamma = benchmark.pedantic(run, rounds=1, iterations=1)
         print(f"\n[Ablation/gamma] LiH(6): SA-searched Γ={with_gamma}, identity Γ={without_gamma}")
         assert with_gamma <= without_gamma
-
-    def test_sa_gamma_not_worse_than_pso_baseline_search(self, lih_case):
-        hamiltonian, terms = lih_case
-        n_qubits = hamiltonian.n_spin_orbitals
-        advanced = make_pipeline().run(terms, n_qubits=n_qubits).cnot_count
-
-        pso_request = CompileRequest(
-            terms=tuple(terms),
-            n_qubits=n_qubits,
-            config=BASE_CONFIG.replace(
-                baseline_pso_particles=6, baseline_pso_iterations=4
-            ),
-        )
-        baseline_count = get_backend("baseline").compile(pso_request).cnot_count
-        print(f"\n[Ablation/gamma-vs-pso] LiH(6): advanced(SA Γ)={advanced}, "
-              f"baseline(PSO upper-triangular Γ)={baseline_count}")
-        assert advanced <= baseline_count

@@ -63,9 +63,13 @@ shims are gone: their keywords are :class:`~repro.api.CompilerConfig` fields,
 so compile with ``get_backend("advanced")`` or
 ``AdvancedPipeline(config).run(terms)``, whose stages are explicit (swap one
 with ``pipeline.with_stage(name, fn)``).  ``compile_molecule_ansatz`` takes
-only ``config=`` (``None`` means ``CompilerConfig()``, the old ``seed=0`` /
-``baseline_pso_iterations=0`` defaults).  ``BatchCheckpoint`` is gone too;
-the ``compile_batch(checkpoint_dir=...)`` journal is a plain
+only ``config=`` (``None`` means ``CompilerConfig()``, the old ``seed=0``
+default).  The Γ-search and sorting switches are ``gamma_steps=0`` and
+``pipeline.with_stage("sort", naive_sort_stage)``.  GT here uses the identity
+Γ, as it did by default; its BPSO Γ search is gone (0 CNOTs gained on H2O,
+BeH2, LiH and NH3 at 20 terms: 178, 162, 178, 180; 1.4–9.7 s per compile
+against 11–26 ms).  ``BatchCheckpoint`` is gone; the
+``compile_batch(checkpoint_dir=...)`` journal is a plain
 :class:`~repro.service.PersistentCompileCache`.
 ``BaselineCompiler().compile(terms)`` is ``get_backend("baseline")``, and
 ``naive_cnot_count(terms, transform)`` is ``get_backend("jw")`` /

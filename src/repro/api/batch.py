@@ -36,7 +36,7 @@ import multiprocessing
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.api.backend import CompileRequest, CompileResult, canonical_backend_name
 from repro.api.execute import (
@@ -47,6 +47,7 @@ from repro.api.execute import (
     cache_key_digest,
     compile_job,
     compile_job_traced,
+    shareable,
 )
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
@@ -164,10 +165,10 @@ class BatchResult:
 
 def _run_jobs_incremental(
     executor: Executor,
-    jobs: Sequence[Tuple[CacheKey, Tuple[str, CompileRequest]]],
+    jobs: Sequence[Tuple[Hashable, Tuple[CacheKey, str, CompileRequest]]],
     tracer,
-    complete: Callable[[CacheKey, CompileRequest, CompileResult], None],
-    settle_failure: Callable[[CacheKey, str, CompileRequest, BaseException], None],
+    complete: Callable[[Hashable, CompileResult], None],
+    settle_failure: Callable[[Hashable, BaseException], None],
 ) -> None:
     """Submit every job and handle each outcome *as it completes*.
 
@@ -181,22 +182,22 @@ def _run_jobs_incremental(
     """
     fn = compile_job_traced if tracer.enabled else compile_job
     futures = {
-        executor.submit(fn, (name, request)): (key, name, request)
-        for key, (name, request) in jobs
+        executor.submit(fn, (name, request)): slot
+        for slot, (_, name, request) in jobs
     }
     for future in as_completed(futures):
-        key, name, request = futures[future]
+        slot = futures[future]
         try:
             outcome = future.result()
         except Exception as exc:
-            settle_failure(key, name, request, exc)
+            settle_failure(slot, exc)
             continue
         if tracer.enabled:
             result, spans = outcome
             tracer.adopt(spans)
         else:
             result = outcome
-        complete(key, request, result)
+        complete(slot, result)
 
 
 def _check_worker_backends(canonical_names: Sequence[str]) -> None:
@@ -294,30 +295,32 @@ def compile_batch(
     start = time.perf_counter()
     hits_before, misses_before = cache.hits, cache.misses
     report = BatchReport()
-    #: Every key's final result, whatever produced it (cache, journal,
+    #: Every slot's final result, whatever produced it (cache, journal,
     #: compile, fallback); rows are assembled from here, never from the
     #: shared cache, which only holds honest per-backend entries.
-    resolved: Dict[CacheKey, CompileResult] = {}
+    resolved: Dict[Hashable, CompileResult] = {}
 
-    # One lookup per (request, backend) pair; identical pairs collapse onto
-    # the same key, so each distinct job is compiled at most once.  A pair
-    # counts as a miss only when it is the one that triggers a compilation;
-    # duplicates inside the batch are hits, they cost nothing.
-    keys: List[List[CacheKey]] = [
-        [CompileCache.key(request, name) for name in canonical_names]
-        for request in requests
-    ]
-    pending: Dict[CacheKey, Tuple[str, CompileRequest]] = {}
-    for request, request_keys in zip(requests, keys):
-        for key, name in zip(request_keys, canonical_names):
-            if key in pending or key in resolved:
+    # One lookup per (request, backend) pair.  Pairs whose result is
+    # shareable share the slot of their cache key, so each distinct job is
+    # compiled at most once; an unshareable pair gets its own slot.  A pair
+    # counts as a miss only when it triggers a compilation; duplicates
+    # inside the batch are hits, they cost nothing.
+    slots: List[List[Hashable]] = []
+    pending: Dict[Hashable, Tuple[CacheKey, str, CompileRequest]] = {}
+    for row, request in enumerate(requests):
+        slots.append([])
+        for column, name in enumerate(canonical_names):
+            key = CompileCache.key(request, name)
+            slot = key if shareable(request, name) else (key, row, column)
+            slots[row].append(slot)
+            if slot in pending or slot in resolved:
                 cache.hits += 1  # deduplicated within this batch, costs nothing
                 continue
             cached, tier = tiers.lookup(key)  # the memory tier counts hit/miss
             if cached is None:
-                pending[key] = (name, request)
+                pending[slot] = (key, name, request)
                 continue
-            resolved[key] = cached
+            resolved[slot] = cached
             if tier == "journal":
                 # A previous (possibly killed) run finished this job; its
                 # result is served verbatim so resume is bit-identical.
@@ -327,14 +330,16 @@ def compile_batch(
     jobs = list(pending.items())
     tracer = get_tracer()
 
-    def complete(key, request, result):
+    def complete(slot, result):
         """Cache, journal and record one finished job — called incrementally."""
-        resolved[key] = result
+        key, _, request = pending[slot]
+        resolved[slot] = result
         tiers.store(key, request, result)
         report.compiled.append(cache_key_digest(key))
 
-    def settle_failure(key, name, request, exc):
+    def settle_failure(slot, exc):
         """Walk the fallback chain; collect or re-raise an unrecovered failure."""
+        key, name, request = pending[slot]
         digest = cache_key_digest(key)
         attempts = [(name, repr(exc))]
         if isinstance(exc, FALLBACK_RETRYABLE):
@@ -351,7 +356,7 @@ def compile_batch(
                 except Exception as fb_exc:
                     attempts.append((fb_name, repr(fb_exc)))
                     continue
-                complete(key, request, result)
+                complete(slot, result)
                 report.fallbacks.append(
                     FallbackRecord(
                         digest=digest,
@@ -389,13 +394,13 @@ def compile_batch(
                 pool.shutdown(wait=True, cancel_futures=True)
         else:
             # In-process: spans from each backend nest under this one naturally.
-            for key, (name, request) in jobs:
+            for slot, (_, name, request) in jobs:
                 try:
                     result = compile_job((name, request))
                 except Exception as exc:
-                    settle_failure(key, name, request, exc)
+                    settle_failure(slot, exc)
                 else:
-                    complete(key, request, result)
+                    complete(slot, result)
         if report.skipped:
             batch_span.set_attribute("n_skipped", len(report.skipped))
         if report.fallbacks:
@@ -405,11 +410,11 @@ def compile_batch(
 
     results: List[BackendResults] = [
         BackendResults(
-            (name, resolved[key])
-            for key, name in zip(request_keys, canonical_names)
-            if key in resolved
+            (name, resolved[slot])
+            for slot, name in zip(request_slots, canonical_names)
+            if slot in resolved
         )
-        for request_keys in keys
+        for request_slots in slots
     ]
 
     return BatchResult(

@@ -14,7 +14,8 @@ This module holds the synchronous parts of that:
   key, so a fallback never poisons the failed primary's entry.  The journal
   ("this job is done") holds it under the job's *primary* key, so a resumed
   batch serves the same result instead of retrying the failed backend.
-  A result drawn under ``seed=None`` is filed in no tier at all.
+  A result that is not :func:`shareable` (a draw under ``seed=None``) is
+  filed in no tier, deduplicated within no batch and joined by no submit.
 
 Journal and disk are both :class:`~repro.service.PersistentCompileCache`
 instances; a batch fills in memory and journal, the service memory and disk.
@@ -151,6 +152,17 @@ class CompileCache:
         return key in self._store
 
 
+def shareable(request: CompileRequest, backend_name: str) -> bool:
+    """Whether ``backend_name``'s result for ``request`` may serve another job.
+
+    Not when a config-reading backend (``uses_config``, the default) compiled
+    under ``seed=None``: the next compile may draw another answer.
+    """
+    if request.config.seed is not None:
+        return True
+    return not getattr(get_backend(backend_name), "uses_config", True)
+
+
 def compile_job(job: Tuple[str, CompileRequest]) -> CompileResult:
     """Worker entry point: resolve the backend by name and compile.
 
@@ -219,13 +231,9 @@ class Tiers:
 
         Memory and disk file it under the key of the backend that produced it
         (``result.backend``); the journal under ``key`` itself.  A result
-        that a config-reading backend drew under ``seed=None`` is filed
-        nowhere: the next compile of the same request may draw another
-        answer, so no tier may serve this one in its place.
+        that is not :func:`shareable` is filed nowhere.
         """
-        if request.config.seed is None and getattr(
-            get_backend(result.backend), "uses_config", True
-        ):
+        if not shareable(request, result.backend):
             return
         own_key = key
         if result.backend != key[-1]:

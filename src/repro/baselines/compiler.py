@@ -12,12 +12,13 @@ Reproduces the compilation strategy the paper improves upon:
   share a single target qubit.
 * **Inter-excitation term ordering** — a doubly-greedy pass groups terms with
   the same target and greedily orders terms inside each group.
-* **Fermion-to-qubit transformation matrix** — an upper-triangular GL(N,2)
-  matrix searched with binary particle swarm optimization.
+* **Fermion-to-qubit transformation matrix** — the prior art searches an
+  upper-triangular Γ with binary particle swarm optimization (BPSO).  GT here
+  uses the identity Γ: BPSO gained 0 CNOTs on H2O, BeH2, LiH and NH3 at 20
+  terms (178, 162, 178, 180) for 1.4–9.7 s per compile against 11–26 ms.
 
 Together these produce the "GT" (generalized transformation) column of
-Table I; running it with the identity transformation and no compression gives
-the plain JW/BK columns.
+Table I; the plain JW/BK columns come from :func:`naive_cnot_count`.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ import numpy as np
 from repro.circuits import interface_cnot_reduction, sequence_cnot_count
 from repro.core.terms_to_paulis import PauliRotation, required_qubits, terms_to_rotations
 from repro.operators import PauliString
-from repro.optimizers import binary_particle_swarm, solve_tsp
+from repro.optimizers import solve_tsp
 from repro.transforms import (
     FermionQubitTransform,
-    JordanWignerTransform,
     LinearEncodingTransform,
     identity_matrix,
 )
@@ -158,18 +158,12 @@ class BaselineCompiler:
     use_bosonic_encoding:
         Compress fully-paired double excitations at 2 CNOTs each (the baseline
         always does; disable only for the plain JW/BK reference columns).
-    transform_matrix:
-        Upper-triangular GL(N,2) matrix to use; identity (Jordan-Wigner) when
-        omitted.  Use :meth:`search_transform` to run the PSO search.
+
+    Compiles under the identity Γ, recorded as the result's ``transform_matrix``.
     """
 
-    def __init__(
-        self,
-        use_bosonic_encoding: bool = True,
-        transform_matrix: Optional[np.ndarray] = None,
-    ):
+    def __init__(self, use_bosonic_encoding: bool = True):
         self.use_bosonic_encoding = use_bosonic_encoding
-        self.transform_matrix = transform_matrix
 
     # ------------------------------------------------------------------
     # Compilation
@@ -187,10 +181,7 @@ class BaselineCompiler:
         if n_qubits is None:
             n_qubits = required_qubits(terms)
 
-        if self.transform_matrix is None:
-            gamma = identity_matrix(n_qubits)
-        else:
-            gamma = np.asarray(self.transform_matrix, dtype=np.uint8)
+        gamma = identity_matrix(n_qubits)
         transform: FermionQubitTransform = LinearEncodingTransform(gamma)
 
         bosonic_terms: List[ExcitationTerm] = []
@@ -225,51 +216,6 @@ class BaselineCompiler:
                 (string, angle, target) for string, target, angle in ordered
             ],
         )
-
-    # ------------------------------------------------------------------
-    # Transformation search (PSO over upper-triangular matrices)
-    # ------------------------------------------------------------------
-    def search_transform(
-        self,
-        terms: Sequence[ExcitationTerm],
-        n_qubits: Optional[int] = None,
-        n_particles: int = 10,
-        iterations: int = 15,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """Search the strictly-upper-triangular bits of Γ with binary PSO.
-
-        Sets :attr:`transform_matrix` to the best matrix found and returns it.
-        """
-        terms = list(terms)
-        if n_qubits is None:
-            n_qubits = required_qubits(terms)
-        rng = rng or np.random.default_rng()
-        upper_indices = [(i, j) for i in range(n_qubits) for j in range(i + 1, n_qubits)]
-
-        def bits_to_matrix(bits: np.ndarray) -> np.ndarray:
-            matrix = identity_matrix(n_qubits)
-            for bit, (i, j) in zip(bits, upper_indices):
-                matrix[i, j] = int(bit)
-            return matrix
-
-        def objective(bits: np.ndarray) -> float:
-            compiler = BaselineCompiler(
-                use_bosonic_encoding=self.use_bosonic_encoding,
-                transform_matrix=bits_to_matrix(bits),
-            )
-            return float(compiler.compile(terms, n_qubits=n_qubits).cnot_count)
-
-        result = binary_particle_swarm(
-            objective,
-            n_bits=len(upper_indices),
-            n_particles=n_particles,
-            iterations=iterations,
-            rng=rng,
-            initial_position=np.zeros(len(upper_indices), dtype=np.uint8),
-        )
-        self.transform_matrix = bits_to_matrix(result.best_position)
-        return self.transform_matrix
 
 
 def naive_rotation_sequence(

@@ -7,6 +7,12 @@ can key caches — :func:`repro.api.compile_batch` memoizes on
 ``(terms fingerprint, backend, config)`` — and be shared between threads and
 worker processes without defensive copying.
 
+One field per decision: the identity Γ is ``gamma_steps=0``, no GTSP sort is
+``AdvancedPipeline(config).with_stage("sort", naive_sort_stage)``.  GT here
+uses the identity Γ, so it has no search budget: the prior art's BPSO Γ search
+gained 0 CNOTs on H2O, BeH2, LiH and NH3 at 20 terms (178, 162, 178, 180) for
+1.4–9.7 s per compile against 11–26 ms without it.
+
 The class lives in :mod:`repro.core` because the pipeline stages consume it;
 the public import path is :mod:`repro.api`.
 """
@@ -26,14 +32,12 @@ class CompilerConfig:
 
     Parameters
     ----------
-    use_bosonic_encoding, use_hybrid_encoding, use_gamma_search,
-    use_advanced_sorting:
-        Feature switches used both by the headline pipeline (all True) and the
-        ablation benchmarks.
+    use_bosonic_encoding, use_hybrid_encoding:
+        Compression switches used both by the headline pipeline (both True)
+        and the ablation benchmarks.
     gamma_steps:
         Simulated-annealing proposals for the Γ search (Sec. III-C); ``0``
-        skips the search and keeps the identity Γ (plain Jordan–Wigner),
-        exactly like ``use_gamma_search=False``.
+        skips the search and keeps the identity Γ (plain Jordan–Wigner).
     sorting_population, sorting_generations:
         GTSP genetic-algorithm budget for the final sorting pass (Sec. III-B).
     coloring_orders:
@@ -55,9 +59,6 @@ class CompilerConfig:
     seed:
         Seed of the internal random generator (every flow is deterministic for
         a fixed seed).
-    baseline_pso_particles, baseline_pso_iterations:
-        Budget of the baseline compiler's binary-PSO transformation search
-        (``iterations=0`` keeps the identity transformation, the default).
     topology:
         Optional device :class:`~repro.hardware.topology.Topology`.  When
         set, every backend synthesizes its rotation sequence with the
@@ -70,8 +71,6 @@ class CompilerConfig:
 
     use_bosonic_encoding: bool = True
     use_hybrid_encoding: bool = True
-    use_gamma_search: bool = True
-    use_advanced_sorting: bool = True
     gamma_steps: int = 40
     sorting_population: int = 24
     sorting_generations: int = 30
@@ -80,8 +79,6 @@ class CompilerConfig:
     gamma_budget_steps: Optional[int] = None
     sorting_budget_generations: Optional[int] = None
     seed: Optional[int] = 0
-    baseline_pso_particles: int = 10
-    baseline_pso_iterations: int = 0
     topology: Optional[Topology] = None
 
     def __post_init__(self):
@@ -91,10 +88,7 @@ class CompilerConfig:
             self.topology.require_connected()
         if self.gamma_steps < 0:
             raise ValueError("gamma_steps must be non-negative")
-        # The GA population constraint only binds when the GA actually runs;
-        # ablation configs with advanced sorting disabled never consult it
-        # (and the historical compiler accepted them).
-        if self.use_advanced_sorting and self.sorting_population < 2:
+        if self.sorting_population < 2:
             raise ValueError("sorting_population must be at least 2")
         if self.sorting_generations < 0:
             raise ValueError("sorting_generations must be non-negative")
@@ -107,10 +101,6 @@ class CompilerConfig:
             and self.sorting_budget_generations < 0
         ):
             raise ValueError("sorting_budget_generations must be None or non-negative")
-        if self.baseline_pso_particles < 1:
-            raise ValueError("baseline_pso_particles must be at least 1")
-        if self.baseline_pso_iterations < 0:
-            raise ValueError("baseline_pso_iterations must be non-negative")
         if self.seed is not None and self.seed < 0:
             raise ValueError("seed must be None or non-negative")
 

@@ -265,6 +265,8 @@ def gamma_search_stage(context: StageContext) -> None:
     the walk behind the :func:`greedy_sort` the sort stage uses — no
     per-candidate fermion→qubit algebra.  With a device topology the walk
     optimizes the distance-weighted objective the sorting stage will use.
+    ``config.gamma_steps == 0`` keeps the identity Γ without building the
+    cost or drawing from the generator.
 
     Honors ``config.gamma_budget_steps``: a truncated walk records the stage
     in ``context.degraded_stages`` and keeps the best Γ seen so far.  The
@@ -272,7 +274,7 @@ def gamma_search_stage(context: StageContext) -> None:
     cost-cache hits) goes on the stage's span.
     """
     context.gamma = identity_matrix(context.n_qubits)
-    if not context.fermionic_terms or not context.config.use_gamma_search:
+    if not context.fermionic_terms or context.config.gamma_steps == 0:
         return
     faults.fire("stage.gamma", n_terms=len(context.fermionic_terms))
 
@@ -326,9 +328,6 @@ def sort_stage(context: StageContext) -> None:
     if not context.rotations:
         return
     config = context.config
-    if not config.use_advanced_sorting:
-        naive_sort_stage(context)
-        return
     faults.fire("stage.sort", n_rotations=len(context.rotations))
     greedy = greedy_sort(context.rotations, topology=config.topology)
     seed_tours = None

@@ -18,12 +18,13 @@ Three guarantees make the cache safe to share between processes:
   the destination shard and ``os.replace``-s it into place, so a concurrent
   reader sees either no entry or a complete one — never a torn write.
 * **Version stamping.**  Every entry carries the cache's *version stamp*.
-  The default stamp (:func:`golden_version_stamp`) hashes the golden
-  regression files under ``tests/golden/`` together with the on-disk format
-  version, so whenever compilation semantics change enough to move the pinned
-  Table-I numbers, every previously written entry is recognized as stale and
-  invalidated on read (or wholesale via :meth:`vacuum`) instead of being
-  deserialized into wrong results.
+  The default stamp (:func:`golden_version_stamp`) hashes the on-disk format
+  version, the source of every module of the ``repro`` package and, when the
+  test tree is present, the golden regression files under ``tests/golden/``.
+  So any code edit — and any change to the pinned Table-I numbers — makes
+  every previously written entry stale: it is invalidated on read (or
+  wholesale via :meth:`vacuum`) instead of being deserialized into a result
+  the current code might not produce.
 * **Key verification.**  The full memoization key is stored inside the entry
   and compared on read, so a digest collision or a foreign file can never be
   served as a hit.
@@ -36,6 +37,7 @@ one root.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
@@ -54,22 +56,39 @@ from repro.api.execute import CacheKey, cache_key_digest
 #: 3: CompileResult gained the ``degraded``/``degraded_stages`` fields.
 CACHE_FORMAT_VERSION = 3
 
+#: The ``repro`` package, whose source the default version stamp hashes.
+PACKAGE_DIR = Path(__file__).resolve().parents[1]
+
 #: The golden regression files the default version stamp is derived from.
-GOLDEN_DIR = Path(__file__).resolve().parents[3] / "tests" / "golden"
+GOLDEN_DIR = PACKAGE_DIR.parents[1] / "tests" / "golden"
 
 
-def golden_version_stamp(golden_dir: Optional[Path] = None) -> str:
-    """Cache version stamp tied to the golden regression files.
+@functools.lru_cache(maxsize=None)
+def _source_digest(package_dir: Path) -> bytes:
+    """SHA-256 of the relative path and bytes of every ``*.py`` in a package
+    (sorted), computed once per directory and process."""
+    digest = hashlib.sha256()
+    for path in sorted(package_dir.rglob("*.py")):
+        digest.update(path.relative_to(package_dir).as_posix().encode("utf-8"))
+        digest.update(path.read_bytes())
+    return digest.digest()
 
-    Hashes the name and contents of every ``*.json`` under ``tests/golden/``
-    (sorted, so the stamp is order-independent) together with
-    :data:`CACHE_FORMAT_VERSION`.  The goldens pin the compiled Table-I
-    numbers, so any change that moves compilation output also moves this
-    stamp and wholesale-invalidates previously cached results.  A missing
-    golden directory (e.g. an installed package without the test tree)
-    degrades to a stamp over the format version alone.
+
+def golden_version_stamp(
+    golden_dir: Optional[Path] = None, package_dir: Optional[Path] = None
+) -> str:
+    """Cache version stamp tied to the package source and the goldens.
+
+    Hashes :data:`CACHE_FORMAT_VERSION`, the source of every module of the
+    ``repro`` package (all of them: no hand-kept list decides which modules
+    move outputs) and the name and contents of every ``*.json`` under
+    ``tests/golden/`` (sorted, so the stamp is order-independent).  Any code
+    edit thus invalidates previously cached results, in an installed package
+    without the test tree too; a missing golden directory only drops the
+    goldens from the hash.
     """
     digest = hashlib.sha256(f"format={CACHE_FORMAT_VERSION}".encode("utf-8"))
+    digest.update(_source_digest(Path(package_dir or PACKAGE_DIR)))
     directory = Path(golden_dir) if golden_dir is not None else GOLDEN_DIR
     if directory.is_dir():
         for path in sorted(directory.glob("*.json")):

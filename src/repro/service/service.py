@@ -76,6 +76,7 @@ from repro.api.execute import (
     cache_key_digest,
     compile_job,
     compile_job_traced,
+    shareable,
 )
 from repro.obs.tracer import get_tracer
 from repro.service.cache import PersistentCompileCache
@@ -402,8 +403,9 @@ class CompileService:
 
         An identical in-flight request (same memoization key) is joined, not
         re-queued: the new job shares the existing compilation without a
-        queue slot, while keeping its own future (and deadline).  A full
-        queue raises :class:`ServiceOverloadedError` with a
+        queue slot, while keeping its own future (and deadline); a request
+        whose result is not :func:`~repro.api.execute.shareable` never is.  A
+        full queue raises :class:`ServiceOverloadedError` with a
         ``retry_after_s`` hint and counts a rejection.  ``deadline_s``
         (falling back to the service's ``default_deadline_s``) bounds the
         submit→result time; a missed deadline fails this submitter's future
@@ -422,7 +424,8 @@ class CompileService:
         job_id = f"job-{next(self._seq)}"
         loop = asyncio.get_running_loop()
 
-        primary = self._inflight.get(key)
+        shared = shareable(request, canonical)
+        primary = self._inflight.get(key) if shared else None
         if primary is not None:
             job = _Job(job_id, request, canonical, key, priority,
                        loop.create_future(), deadline_s, link=primary)
@@ -441,7 +444,8 @@ class CompileService:
                 "retry after in-flight work drains",
                 retry_after_s=self._retry_after_hint(),
             ) from None
-        self._inflight[key] = job
+        if shared:
+            self._inflight[key] = job
         self._register(job, loop)
         self.metrics.queue_depth.set(self._queue.qsize())
         return job_id

@@ -18,11 +18,9 @@ from repro.transforms.binary import (
     gf2_rank,
     identity_matrix,
     is_invertible,
-    is_upper_triangular,
     jordan_wigner_matrix,
     parity_matrix,
     random_invertible_matrix,
-    random_upper_triangular_matrix,
     synthesize_cnot_network,
     synthesize_cnot_network_pmh,
 )
@@ -67,9 +65,7 @@ __all__ = [
     "gf2_inverse",
     "gf2_rank",
     "is_invertible",
-    "is_upper_triangular",
     "random_invertible_matrix",
-    "random_upper_triangular_matrix",
     "synthesize_cnot_network",
     "synthesize_cnot_network_pmh",
     "cnot_network_matrix",

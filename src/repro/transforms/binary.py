@@ -111,12 +111,6 @@ def gf2_inverse(matrix: np.ndarray) -> np.ndarray:
     return augmented[:, n:].copy()
 
 
-def is_upper_triangular(matrix: np.ndarray) -> bool:
-    """True if all entries strictly below the diagonal are zero."""
-    m = as_gf2(matrix)
-    return not np.any(np.tril(m, k=-1))
-
-
 def random_invertible_matrix(
     n: int, rng: Optional[np.random.Generator] = None
 ) -> np.ndarray:
@@ -126,20 +120,6 @@ def random_invertible_matrix(
         candidate = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
         if is_invertible(candidate):
             return candidate
-
-
-def random_upper_triangular_matrix(
-    n: int, rng: Optional[np.random.Generator] = None
-) -> np.ndarray:
-    """Sample a random invertible upper-triangular GF(2) matrix.
-
-    The baseline of the paper restricts its particle-swarm search to this
-    subset of transformations.
-    """
-    rng = rng or np.random.default_rng()
-    matrix = np.triu(rng.integers(0, 2, size=(n, n), dtype=np.uint8), k=1)
-    matrix ^= identity_matrix(n)
-    return matrix
 
 
 # ----------------------------------------------------------------------

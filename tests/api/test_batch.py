@@ -301,11 +301,11 @@ class TestConvenienceApiGuards:
                 compile_molecule_ansatz("H2", n_terms=2, **kwargs)
 
     def test_default_config_keeps_the_legacy_defaults(self):
-        """``config=None`` compiles under ``CompilerConfig()``, whose seed and
-        PSO budget are the defaults the removed keywords had."""
+        """``config=None`` compiles under ``CompilerConfig()``, whose seed is
+        the default the removed keyword had."""
         from repro import compile_molecule_ansatz
 
-        legacy_defaults = CompilerConfig(seed=0, baseline_pso_iterations=0)
+        legacy_defaults = CompilerConfig(seed=0)
         assert CompilerConfig() == legacy_defaults
         default = compile_molecule_ansatz("H2", n_terms=3)
         explicit = compile_molecule_ansatz("H2", n_terms=3, config=legacy_defaults)

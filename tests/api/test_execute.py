@@ -82,6 +82,15 @@ async def serve_twice(request, disk_dir):
     return tiers
 
 
+async def serve_concurrently(request, backend, n=2):
+    """Submit ``request`` ``n`` times before any compile starts; the tiers."""
+    async with CompileService() as service:
+        job_ids = [await service.submit(request, backend=backend) for _ in range(n)]
+        for job_id in job_ids:
+            await service.result(job_id)
+        return [service.status(job_id).tier for job_id in job_ids]
+
+
 class TestRetryRule:
     def test_transient_failures(self):
         assert issubclass(ConnectionError, TRANSIENT)
@@ -221,6 +230,52 @@ class TestUnseededResultsAreNotCached:
         compile_batch([request], backends="jordan-wigner", cache=cache)
         again = compile_batch([request], backends="jordan-wigner", cache=cache)
         assert again.report.compiled == []
+
+
+class TestUnseededJobsAreNotDeduplicated:
+    """Two identical unseeded jobs are two draws: neither batch dedup nor the
+    service's in-flight join may hand one job's draw to the other."""
+
+    def test_shareable_predicate(self):
+        unseeded = dataclasses.replace(make_request(), config=UNSEEDED)
+        assert execute.shareable(make_request(), "advanced")
+        assert not execute.shareable(unseeded, "advanced")
+        assert not execute.shareable(unseeded, "baseline")
+        assert execute.shareable(unseeded, "jordan-wigner")
+
+    def test_batch_compiles_each_unseeded_pair(self):
+        request = dataclasses.replace(make_request(), config=UNSEEDED)
+        batch = compile_batch([request, request], backends="advanced")
+        assert len(batch.report.compiled) == 2
+        assert batch.cache_hits == 0
+        first, second = (row["advanced"] for row in batch.results)
+        assert first is not second
+
+    def test_service_compiles_each_unseeded_submit(self):
+        request = dataclasses.replace(make_request(), config=UNSEEDED)
+        assert asyncio.run(serve_concurrently(request, "advanced")) == [
+            "compute",
+            "compute",
+        ]
+
+    def test_seeded_duplicates_still_dedup(self):
+        request = make_request()
+        batch = compile_batch([request, request], backends="advanced")
+        assert len(batch.report.compiled) == 1
+        assert batch.results[0]["advanced"] is batch.results[1]["advanced"]
+        assert asyncio.run(serve_concurrently(request, "advanced")) == [
+            "compute",
+            "dedup",
+        ]
+
+    def test_config_blind_unseeded_duplicates_still_dedup(self):
+        request = dataclasses.replace(make_request(), config=UNSEEDED)
+        batch = compile_batch([request, request], backends="jordan-wigner")
+        assert len(batch.report.compiled) == 1
+        assert asyncio.run(serve_concurrently(request, "jordan-wigner")) == [
+            "compute",
+            "dedup",
+        ]
 
 
 class TestDiskBehindTheBreaker:

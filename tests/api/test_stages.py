@@ -85,8 +85,8 @@ class TestScheduleHybridStage:
 
 
 class TestGammaSearchStage:
-    def test_disabled_search_keeps_identity(self, mixed_terms):
-        config = FAST.replace(use_gamma_search=False)
+    def test_zero_steps_keeps_identity(self, mixed_terms):
+        config = FAST.replace(gamma_steps=0)
         context = run_stages(
             make_context(mixed_terms, config),
             classify_stage, schedule_hybrid_stage, gamma_search_stage,
@@ -229,7 +229,7 @@ class TestPipelineComposition:
         parameters = [0.5] * len(mixed_terms)
         result = pipeline.run(mixed_terms, n_qubits=8, parameters=parameters)
         angles = {rotation.angle for rotation, _ in result.sorting.ordered_rotations}
-        reference = AdvancedPipeline(FAST.replace(use_gamma_search=False)).run(
+        reference = AdvancedPipeline(FAST.replace(gamma_steps=0)).run(
             mixed_terms, n_qubits=8, parameters=parameters
         )
         reference_angles = {r.angle for r, _ in reference.sorting.ordered_rotations}

@@ -8,11 +8,7 @@ from repro.baselines import (
     BaselineCompiler,
     naive_cnot_count,
 )
-from repro.transforms import (
-    BravyiKitaevTransform,
-    JordanWignerTransform,
-    is_upper_triangular,
-)
+from repro.transforms import BravyiKitaevTransform, JordanWignerTransform
 from repro.vqe import ExcitationTerm
 
 
@@ -78,12 +74,6 @@ class TestBaselineCompiler:
         result = BaselineCompiler().compile(mixed_terms, n_qubits=8)
         assert np.array_equal(result.transform_matrix, np.eye(8, dtype=np.uint8))
 
-    def test_explicit_transform_used(self, mixed_terms):
-        gamma = np.eye(8, dtype=np.uint8)
-        gamma[0, 3] = 1
-        result = BaselineCompiler(transform_matrix=gamma).compile(mixed_terms, n_qubits=8)
-        assert np.array_equal(result.transform_matrix, gamma)
-
     def test_rotations_have_valid_targets(self, mixed_terms):
         result = BaselineCompiler().compile(mixed_terms, n_qubits=8)
         for string, target in result.ordered_rotations:
@@ -92,25 +82,3 @@ class TestBaselineCompiler:
     def test_cnot_count_is_sum_of_segments(self, mixed_terms):
         result = BaselineCompiler().compile(mixed_terms, n_qubits=8)
         assert result.cnot_count == result.bosonic_cnot_count + result.rotation_cnot_count
-
-
-class TestPsoTransformSearch:
-    def test_search_returns_upper_triangular_invertible(self, mixed_terms):
-        compiler = BaselineCompiler()
-        gamma = compiler.search_transform(
-            mixed_terms, n_qubits=8, n_particles=4, iterations=2,
-            rng=np.random.default_rng(0),
-        )
-        assert is_upper_triangular(gamma)
-        assert np.all(np.diag(gamma) == 1)
-
-    def test_search_does_not_hurt(self, mixed_terms):
-        reference = BaselineCompiler().compile(mixed_terms, n_qubits=8).cnot_count
-        compiler = BaselineCompiler()
-        compiler.search_transform(
-            mixed_terms, n_qubits=8, n_particles=4, iterations=3,
-            rng=np.random.default_rng(1),
-        )
-        searched = compiler.compile(mixed_terms, n_qubits=8).cnot_count
-        # PSO is seeded with the identity, so the best found is never worse.
-        assert searched <= reference

@@ -6,7 +6,9 @@ import numpy as np
 
 from repro.api import CompileRequest, CompilerConfig, compile_batch, get_backend
 from repro.chemistry import build_molecular_hamiltonian, make_molecule, run_rhf
+from repro.core import AdvancedPipeline
 from repro.obs.tracer import tracing
+from repro.transforms import identity_matrix
 from repro.vqe import select_ansatz_terms
 
 
@@ -23,16 +25,22 @@ def h2o_request(config):
     return CompileRequest(terms=terms, n_qubits=n_qubits, config=config)
 
 
-def compiled_sequence(result):
+def compiled_sequence(details):
     return [
         (rotation.string, rotation.angle, target)
-        for rotation, target in result.details.sorting.ordered_rotations
+        for rotation, target in details.sorting.ordered_rotations
     ]
+
+
+def identity_gamma_stage(context):
+    """A Γ stage that never searches: the identity Γ, no generator draws."""
+    context.gamma = identity_matrix(context.n_qubits)
 
 
 class TestGammaStepsZero:
     def test_skips_the_search_instead_of_falling_back(self):
-        """``gamma_steps=0`` compiles like ``use_gamma_search=False``, bit for bit.
+        """``gamma_steps=0`` compiles like a pipeline whose Γ stage is the
+        identity, bit for bit.
 
         It used to pass validation and then break the annealing schedule, so
         a fallback chain quietly served the baseline count in the advanced
@@ -47,14 +55,17 @@ class TestGammaStepsZero:
         served = batch.results[0]["advanced"]
         assert served.backend == "advanced"
 
-        reference = get_backend("advanced").compile(
-            h2o_request(CompilerConfig(use_gamma_search=False))
+        terms, n_qubits = h2o_request_terms()
+        reference = (
+            AdvancedPipeline(CompilerConfig())
+            .with_stage("gamma_search", identity_gamma_stage)
+            .run(list(terms), n_qubits=n_qubits)
         )
         assert served.cnot_count == reference.cnot_count
-        assert served.breakdown == reference.breakdown
+        assert served.breakdown == reference.breakdown()
         assert np.array_equal(served.details.gamma, np.eye(served.n_qubits))
-        assert np.array_equal(served.details.gamma, reference.details.gamma)
-        assert compiled_sequence(served) == compiled_sequence(reference)
+        assert np.array_equal(served.details.gamma, reference.gamma)
+        assert compiled_sequence(served.details) == compiled_sequence(reference)
 
 
 class TestSearchTelemetry:

@@ -6,7 +6,7 @@ import pytest
 from repro import compile_molecule_ansatz
 from repro.api import CompilerConfig
 from repro.baselines import BaselineCompiler, naive_cnot_count
-from repro.core import AdvancedPipeline
+from repro.core import AdvancedPipeline, naive_sort_stage
 from repro.transforms import JordanWignerTransform
 from repro.vqe import ExcitationTerm
 
@@ -72,8 +72,10 @@ class TestAdvancedPipeline:
         full = fast_compiler().run(mixed_terms, n_qubits=8)
         no_hybrid = fast_compiler(use_hybrid_encoding=False).run(mixed_terms, n_qubits=8)
         no_bosonic = fast_compiler(use_bosonic_encoding=False).run(mixed_terms, n_qubits=8)
-        no_sorting = fast_compiler(use_advanced_sorting=False, use_gamma_search=False).run(
-            mixed_terms, n_qubits=8
+        no_sorting = (
+            fast_compiler(gamma_steps=0)
+            .with_stage("sort", naive_sort_stage)
+            .run(mixed_terms, n_qubits=8)
         )
         assert no_hybrid.hybrid_cnot_count == 0
         assert no_bosonic.bosonic_cnot_count == 0

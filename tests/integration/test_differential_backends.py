@@ -28,6 +28,7 @@ from scipy.linalg import expm
 from repro.api import CompileRequest, CompilerConfig, get_backend
 from repro.baselines import naive_rotation_sequence
 from repro.circuits import exponential_sequence_circuit, sequence_cnot_count
+from repro.core import AdvancedPipeline, naive_sort_stage
 from repro.core.terms_to_paulis import terms_to_rotations
 from repro.transforms import (
     BravyiKitaevTransform,
@@ -303,15 +304,11 @@ def test_large_register_angle_drift_detected(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_advanced_without_sorting_matches_expm_reference(seed):
-    """With advanced sorting disabled the pipeline preserves term order, so the
-    full Γ-encoded circuit must match the expm reference products."""
+    """With the naive sort stage substituted the pipeline preserves term order,
+    so the full Γ-encoded circuit must match the expm reference products."""
     terms, parameters = random_terms(seed)
-    config = ADV_CONFIG.replace(use_advanced_sorting=False)
-    request = CompileRequest(
-        terms=terms, n_qubits=N_MODES, parameters=parameters, config=config
-    )
-    result = get_backend("adv").compile(request)
-    details = result.details
+    pipeline = AdvancedPipeline(ADV_CONFIG).with_stage("sort", naive_sort_stage)
+    details = pipeline.run(terms, n_qubits=N_MODES, parameters=parameters)
     transform = LinearEncodingTransform(details.gamma)
     sequence = [
         (rotation.string, rotation.angle, target)

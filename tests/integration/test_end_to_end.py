@@ -39,7 +39,7 @@ class TestCircuitEmissionConsistency:
         (all Pauli strings of one term commute, so reordering is harmless)."""
         excitation = term((2, 4), (0, 1))
         pipeline = AdvancedPipeline(CompilerConfig(
-            use_gamma_search=False, use_hybrid_encoding=False, use_bosonic_encoding=False,
+            gamma_steps=0, use_hybrid_encoding=False, use_bosonic_encoding=False,
             sorting_population=10, sorting_generations=10, seed=0,
         ))
         result = pipeline.run([excitation], n_qubits=5, parameters=[0.37])

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import shutil
 import time
 
 import pytest
@@ -13,6 +14,7 @@ from repro.service import (
     PersistentCompileCache,
     golden_version_stamp,
 )
+from repro.service.cache import PACKAGE_DIR
 from repro.vqe import ExcitationTerm
 
 FAST = CompilerConfig(gamma_steps=5, sorting_population=8, sorting_generations=5, seed=0)
@@ -59,6 +61,33 @@ class TestVersionStamp:
         # The default stamp must differ from the bare-format fallback,
         # proving it actually folded the tests/golden files in.
         assert golden_version_stamp() != golden_version_stamp("/no/such/dir")
+
+    def test_one_byte_of_package_source_moves_the_stamp(self, tmp_path):
+        # The source digest is memoized per directory, so the edit goes into
+        # a second copy of the package.
+        before_dir, after_dir = tmp_path / "before" / "repro", tmp_path / "after" / "repro"
+        for copy in (before_dir, after_dir):
+            shutil.copytree(
+                PACKAGE_DIR, copy, ignore=shutil.ignore_patterns("__pycache__")
+            )
+        source = after_dir / "core" / "pipeline.py"
+        data = bytearray(source.read_bytes())
+        data[-1] ^= 1
+        source.write_bytes(bytes(data))
+        before = golden_version_stamp(package_dir=before_dir)
+        after = golden_version_stamp(package_dir=after_dir)
+        assert before == golden_version_stamp()
+        assert after != before
+        # Without the test tree the source alone still moves the stamp.
+        assert golden_version_stamp("/no/such/dir", after_dir) != golden_version_stamp(
+            "/no/such/dir", before_dir
+        )
+
+        root = tmp_path / "cache"
+        PersistentCompileCache(root, version=before).put(make_key(), make_result())
+        edited = PersistentCompileCache(root, version=after)
+        assert edited.get(make_key()) is None
+        assert edited.stale_invalidations == 1
 
 
 class TestBasicRoundTrip:

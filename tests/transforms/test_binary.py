@@ -51,22 +51,12 @@ class TestBasicOperations:
         with pytest.raises(ValueError):
             binary.gf2_inverse(np.ones((2, 3)))
 
-    def test_is_upper_triangular(self):
-        assert binary.is_upper_triangular([[1, 1], [0, 1]])
-        assert not binary.is_upper_triangular([[1, 0], [1, 1]])
-
 
 class TestRandomMatrices:
     def test_random_invertible_is_invertible(self):
         rng = np.random.default_rng(7)
         for _ in range(5):
             assert binary.is_invertible(binary.random_invertible_matrix(5, rng))
-
-    def test_random_upper_triangular(self):
-        rng = np.random.default_rng(7)
-        m = binary.random_upper_triangular_matrix(6, rng)
-        assert binary.is_upper_triangular(m)
-        assert binary.is_invertible(m)
 
 
 class TestStructuredMatrices:
