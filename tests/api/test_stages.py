@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.api import CompileRequest, CompilerConfig, get_backend
 from repro.core import (
     AdvancedPipeline,
@@ -85,13 +86,35 @@ class TestScheduleHybridStage:
 
 
 class TestGammaSearchStage:
-    def test_zero_steps_keeps_identity(self, mixed_terms):
+    def test_disabled_search_keeps_identity(self, mixed_terms):
         config = FAST.replace(gamma_steps=0)
         context = run_stages(
             make_context(mixed_terms, config),
             classify_stage, schedule_hybrid_stage, gamma_search_stage,
         )
         assert np.array_equal(context.gamma, identity_matrix(8))
+
+    def test_zero_steps_neither_fires_the_stage_nor_draws(self, mixed_terms):
+        """``gamma_steps=0`` returns before the fault site and the generator,
+        so the sort stage sees the same random stream as with no Γ stage."""
+        context = run_stages(
+            make_context(mixed_terms, FAST.replace(gamma_steps=0)),
+            classify_stage, schedule_hybrid_stage,
+        )
+        state = context.rng.bit_generator.state
+        with faults.inject("stage.gamma=error:1.0") as plan:
+            gamma_search_stage(context)
+        assert plan.evaluations["stage.gamma"] == 0
+        assert context.rng.bit_generator.state == state
+        assert context.span_attributes == {}
+
+    def test_positive_steps_fire_the_stage(self, mixed_terms):
+        context = run_stages(
+            make_context(mixed_terms), classify_stage, schedule_hybrid_stage
+        )
+        with faults.inject("stage.gamma=error:1.0"):
+            with pytest.raises(faults.InjectedFault):
+                gamma_search_stage(context)
 
     def test_search_returns_invertible_gamma_of_right_shape(self, mixed_terms):
         context = run_stages(
@@ -136,6 +159,21 @@ class TestSortStage:
         )
         assert context.sorting.cnot_count <= naive_context.sorting.cnot_count
         assert len(context.sorting.ordered_rotations) == len(context.rotations)
+
+    def test_naive_substitution_skips_the_gtsp_sort(self, mixed_terms):
+        """``with_stage("sort", naive_sort_stage)`` keeps the transform order
+        with last-support targets and never reaches the GTSP fault site."""
+        pipeline = AdvancedPipeline(FAST).with_stage("sort", naive_sort_stage)
+        with faults.inject("stage.sort=error:1.0") as plan:
+            result = pipeline.run(mixed_terms, n_qubits=8)
+        assert plan.evaluations["stage.sort"] == 0
+        context = run_stages(
+            make_context(mixed_terms),
+            classify_stage, schedule_hybrid_stage, gamma_search_stage, transform_stage,
+        )
+        assert result.sorting.ordered_rotations == [
+            (rotation, rotation.string.support[-1]) for rotation in context.rotations
+        ]
 
     def test_seed_tours_never_lose_to_seeds(self, mixed_terms):
         """With the greedy and per-term-block tours in its starting population,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import CompileRequest, CompilerConfig, get_backend
 from repro.baselines import (
     BOSONIC_TERM_CNOT_COST,
     BaselineCompiler,
@@ -82,3 +83,21 @@ class TestBaselineCompiler:
     def test_cnot_count_is_sum_of_segments(self, mixed_terms):
         result = BaselineCompiler().compile(mixed_terms, n_qubits=8)
         assert result.cnot_count == result.bosonic_cnot_count + result.rotation_cnot_count
+
+    def test_backend_output_does_not_depend_on_the_seed(self, mixed_terms):
+        """GT draws nothing: every seed, ``None`` included, compiles the same
+        sequence under the identity Γ."""
+        results = [
+            get_backend("baseline").compile(
+                CompileRequest(
+                    terms=tuple(mixed_terms),
+                    n_qubits=8,
+                    config=CompilerConfig(seed=seed),
+                )
+            )
+            for seed in (0, 7, None)
+        ]
+        for result in results:
+            assert result.breakdown == results[0].breakdown
+            assert result.details.ordered_rotations == results[0].details.ordered_rotations
+            assert np.array_equal(result.details.transform_matrix, np.eye(8))

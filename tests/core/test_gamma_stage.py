@@ -70,9 +70,10 @@ class TestGammaStepsZero:
 
 class TestSearchTelemetry:
     @staticmethod
-    def gamma_span_attributes(seed):
+    def gamma_span_attributes(seed, gamma_steps=CompilerConfig().gamma_steps):
+        config = CompilerConfig(seed=seed, gamma_steps=gamma_steps)
         with tracing() as tracer:
-            get_backend("advanced").compile(h2o_request(CompilerConfig(seed=seed)))
+            get_backend("advanced").compile(h2o_request(config))
         (span,) = [s for s in tracer.all_spans() if s.name == "pipeline.gamma_search"]
         return {k: v for k, v in span.attributes.items() if k.startswith("sa_")}
 
@@ -87,3 +88,7 @@ class TestSearchTelemetry:
             # a cost evaluation or a cost-cache hit.
             assert first["sa_cost_evaluations"] + first["sa_cache_hits"] == steps + 1
             assert first["sa_cost_evaluations"] >= 1
+
+    def test_zero_steps_leave_no_summary(self):
+        # The stage returns before the walk, so no summary is recorded.
+        assert self.gamma_span_attributes(0, gamma_steps=0) == {}

@@ -89,6 +89,31 @@ class TestVersionStamp:
         assert edited.get(make_key()) is None
         assert edited.stale_invalidations == 1
 
+    @staticmethod
+    def package_copy(root):
+        """A copy of the package under ``root`` (the digest is memoized per
+        directory, so each variant needs its own)."""
+        copy = root / "repro"
+        shutil.copytree(PACKAGE_DIR, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        return copy
+
+    def test_a_new_module_moves_the_stamp(self, tmp_path):
+        copy = self.package_copy(tmp_path / "added")
+        (copy / "core" / "extra.py").write_text("")
+        assert golden_version_stamp(package_dir=copy) != golden_version_stamp()
+
+    def test_a_renamed_module_moves_the_stamp(self, tmp_path):
+        # Same bytes under another relative path: the path is hashed too.
+        copy = self.package_copy(tmp_path / "renamed")
+        (copy / "core" / "pipeline.py").rename(copy / "core" / "pipeline_renamed.py")
+        assert golden_version_stamp(package_dir=copy) != golden_version_stamp()
+
+    def test_only_python_sources_are_hashed(self, tmp_path):
+        copy = self.package_copy(tmp_path / "data")
+        (copy / "notes.txt").write_text("not source")
+        (copy / "core" / "stale.pyc").write_bytes(b"\x00" * 16)
+        assert golden_version_stamp(package_dir=copy) == golden_version_stamp()
+
 
 class TestBasicRoundTrip:
     def test_put_get_roundtrip(self, tmp_path):
